@@ -13,10 +13,10 @@
 // sequential per-workload grids (tests/sweep/campaign_test.cpp pins
 // that); the checksum column makes a divergence visible here too.
 //
-// Caveat (docs/PERFORMANCE.md): on a 1-vCPU host the pool cannot show
-// wall-clock speedup -- the checksums (determinism) and the shared-
-// geometry delta (fewer BFS rebuilds, visible even single-threaded) are
-// the signals this box can verify.
+// Caveat (docs/PERFORMANCE.md): wall-clock speedup saturates at the
+// host's hardware threads (4 on the reference container); the
+// checksums (determinism) and the shared-geometry delta (fewer BFS
+// rebuilds, visible even single-threaded) hold at any width.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -123,8 +123,8 @@ void print_tables() {
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
             << "; " << s.entries.size() << " workloads x " << s.grid.size()
             << " grid points = " << s.entries.size() * s.grid.size()
-            << " matrix cells\n(on one vCPU expect ~1.0x wall -- the\n"
-               "checksum column, identical everywhere, is the signal)\n\n";
+            << " matrix cells\n(speedup saturates at the hardware threads;\n"
+               "the checksum column must be identical everywhere)\n\n";
 
   TextTable table;
   table.row()

@@ -16,9 +16,9 @@
 // that none of this changes any outcome; what it changes is who waits,
 // and this series measures the waiting.
 //
-// Caveat (docs/PERFORMANCE.md): 1-vCPU CI box -- jobs/sec here is the
-// serialized engine rate plus socket + scheduling overhead, not a
-// parallelism number. The tenant-relative latency split is the signal.
+// Caveat (docs/PERFORMANCE.md): jobs/sec here is the engine rate at the
+// pool's width plus socket + scheduling overhead, and shared CI runners
+// make it noisy. The tenant-relative latency split is the signal.
 #include <sys/socket.h>
 
 #include <algorithm>

@@ -11,16 +11,18 @@
 // Service submit (every artifact borrowed) -- the google-benchmark
 // registrations emit the stable series for BENCH_service.json.
 //
-// Caveat (docs/PERFORMANCE.md): 1-vCPU CI box -- the pool cannot show
-// parallel speedup; the cold/warm delta (cached codec training +
-// compression + geometry) is visible even single-threaded, and the
+// Every series pins the pool to one worker, so the numbers price the
+// cache, not parallelism: the cold/warm delta (cached codec training +
+// compression + geometry) is visible single-threaded, and the
 // differential tests pin warm == cold == direct byte-identically.
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include "bench/bench_common.hpp"
 #include "serving/service.hpp"
 #include "serving/wire.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -30,7 +32,7 @@ using namespace apcc;
 
 constexpr auto kKind = workloads::WorkloadKind::kGsmLike;
 
-/// ServiceOptions pinned to one resident worker (this box's vCPU).
+/// ServiceOptions pinned to one resident worker.
 serving::ServiceOptions one_worker() {
   serving::ServiceOptions options;
   options.workers = 1;
@@ -130,10 +132,10 @@ void print_tables() {
                  "bm_service_thrash for throughput under budget pressure)\n"
               << "Shape check: one checksum everywhere (cached artifacts\n"
                  "change nothing), and the warm cache serves every repeat\n"
-                 "request from 1 image + 1 frontier build. On this box the\n"
-                 "per-request wall numbers are scheduling-noise-grade (a\n"
-                 "submit pays two context switches on one vCPU); the\n"
-                 "steady-state bm_service_* series below is the signal.\n\n";
+                 "request from 1 image + 1 frontier build. The per-request\n"
+                 "wall numbers are scheduling-noise-grade (a submit pays\n"
+                 "two thread handoffs); the steady-state bm_service_*\n"
+                 "series below is the signal.\n\n";
   }
 }
 
@@ -197,82 +199,149 @@ void bm_service_warm_sweep(benchmark::State& state) {
   const auto& workload = bench::cached_workload(kKind);
   serving::Service service(one_worker());
   const auto id = service.register_workload(workload);
-  std::vector<sweep::SweepTask> tasks = six_task_grid();
-  // range(0) is the lockstep batch width (0 = historical per-engine
-  // scheduling), so BENCH_service.json records which batch mode each
-  // series ran under -- the label spells it out for consumers.
-  serving::SweepJob job{id, {}, tasks, true,
-                        static_cast<std::uint32_t>(state.range(0))};
+  const serving::SweepJob job{id, {}, six_task_grid()};
   (void)service.submit(job).wait();
   std::uint64_t cells = 0;
   for (auto _ : state) {
     cells += service.submit(job).wait().size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cells));
-  state.SetLabel(std::string("6-task grid, cached artifacts, ") +
-                 (state.range(0) == 0
-                      ? "per-engine"
-                      : "batch-" + std::to_string(state.range(0))));
+  state.SetLabel("6-task grid, cached artifacts");
 }
-BENCHMARK(bm_service_warm_sweep)
-    ->Arg(0)
-    ->Arg(6)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_service_warm_sweep)->Unit(benchmark::kMillisecond);
 
-/// The unbounded resident footprint (images + geometry) after one warm
-/// 6-task grid job -- the 100% mark the thrash series scales against.
-/// Computed once; google-benchmark re-enters each bench body many
-/// times.
-std::uint64_t warm_working_set_bytes() {
+/// The thrash series' key space: several workloads x predecompress_k.
+/// Each key is one single-cell pre-single run job, so every request
+/// borrows one image (per workload) and one geometry (per workload x k).
+struct ThrashKey {
+  std::size_t workload = 0;  // index into kThrashKinds
+  std::uint32_t k = 0;
+};
+
+constexpr workloads::WorkloadKind kThrashKinds[] = {
+    workloads::WorkloadKind::kCrcLike, workloads::WorkloadKind::kAdpcmLike,
+    workloads::WorkloadKind::kGsmLike, workloads::WorkloadKind::kG721Like};
+
+std::vector<ThrashKey> thrash_keys() {
+  std::vector<ThrashKey> keys;
+  for (std::size_t w = 0; w < std::size(kThrashKinds); ++w) {
+    for (const std::uint32_t k : {1u, 2u, 4u, 8u}) keys.push_back({w, k});
+  }
+  return keys;
+}
+
+/// The request stream: a seeded Zipf(1) draw over the keys (rank r has
+/// weight 1/(r+1)), so a few keys are hot and a long tail is cold. A
+/// cyclic order would defeat any recency-based cache below the working
+/// set -- every budget would evict on every request -- and the series
+/// could not tell budgets apart.
+const std::vector<std::size_t>& thrash_order() {
+  static const auto* order = [] {
+    const std::size_t n = thrash_keys().size();
+    std::vector<double> weights(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      weights[r] = 1.0 / static_cast<double>(r + 1);
+    }
+    Rng rng(20261017);
+    auto* out = new std::vector<std::size_t>(bench::quick_mode() ? 96 : 384);
+    for (std::size_t& key : *out) key = rng.next_weighted(weights);
+    return out;
+  }();
+  return *order;
+}
+
+/// A Service over the thrash workloads, with one run job per key.
+struct ThrashFixture {
+  explicit ThrashFixture(serving::ServiceOptions options)
+      : service(std::move(options)) {
+    std::vector<serving::WorkloadId> ids;
+    for (const auto kind : kThrashKinds) {
+      ids.push_back(service.register_workload(bench::cached_workload(kind)));
+    }
+    for (const ThrashKey& key : thrash_keys()) {
+      serving::RunJob job{ids[key.workload]};
+      job.config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
+      job.config.policy.compress_k = key.k;
+      job.config.policy.predecompress_k = key.k;
+      jobs.push_back(job);
+    }
+  }
+
+  /// Submit the whole Zipf stream, one job at a time.
+  void run_stream() {
+    for (const std::size_t key : thrash_order()) {
+      benchmark::DoNotOptimize(service.submit(jobs[key]).wait());
+    }
+  }
+
+  serving::Service service;
+  std::vector<serving::RunJob> jobs;
+};
+
+/// The unbounded resident footprint (images + geometry) once every key
+/// has run -- the 100% mark the thrash series scales against. Computed
+/// once; google-benchmark re-enters each bench body many times.
+std::uint64_t thrash_working_set_bytes() {
   static const std::uint64_t bytes = [] {
-    serving::Service service(one_worker());
-    const auto id =
-        service.register_workload(bench::cached_workload(kKind));
-    (void)service.submit(serving::SweepJob{id, {}, six_task_grid()}).wait();
-    const auto stats = service.cache_stats();
+    ThrashFixture fx(one_worker());
+    for (const serving::RunJob& job : fx.jobs) {
+      (void)fx.service.submit(job).wait();
+    }
+    const auto stats = fx.service.cache_stats();
     return stats.images.bytes + stats.frontiers.bytes;
   }();
   return bytes;
 }
 
 void bm_service_thrash(benchmark::State& state) {
-  // Warm-sweep throughput under cache-budget pressure: the same 6-task
-  // grid, with the artifact cache capped at range(0) percent of the
-  // unbounded working set (0 = unbounded baseline). Outcomes are
-  // byte-identical at any budget (tests/serving/eviction_test.cpp pins
-  // it); what a tight budget costs is rebuild work, and this series
-  // prices it. The eviction counters land in BENCH_service.json so CI
-  // can assert the budget machinery actually ran.
-  const auto& workload = bench::cached_workload(kKind);
+  // Served-job throughput under cache-budget pressure: the Zipf request
+  // stream over 4 workloads x 4 k, with the artifact cache capped at
+  // range(0) percent of the unbounded working set (0 = unbounded
+  // baseline). Outcomes are byte-identical at any budget
+  // (tests/serving/eviction_test.cpp pins it); what a tight budget
+  // costs is rebuild work, and this series prices it. The counters are
+  // per pass over the stream, measured after one warm-up pass, and land
+  // in BENCH_service.json so CI can assert the budgets differ.
   const std::int64_t pct = state.range(0);
   serving::ServiceOptions options = one_worker();
   options.cache_budget.total_bytes =
-      pct == 0 ? 0 : warm_working_set_bytes() * static_cast<std::uint64_t>(pct) / 100;
-  serving::Service service(options);
-  const auto id = service.register_workload(workload);
-  serving::SweepJob job{id, {}, six_task_grid()};
-  (void)service.submit(job).wait();  // prime
-  std::uint64_t cells = 0;
+      pct == 0 ? 0
+               : thrash_working_set_bytes() *
+                     static_cast<std::uint64_t>(pct) / 100;
+  ThrashFixture fx(options);
+  fx.run_stream();  // warm-up pass
+  const auto before = fx.service.cache_stats();
   for (auto _ : state) {
-    cells += service.submit(job).wait().size();
+    fx.run_stream();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
-  const auto stats = service.cache_stats();
-  state.counters["evictions"] = static_cast<double>(
-      stats.images.evictions + stats.frontiers.evictions);
-  state.counters["evicted_bytes"] = static_cast<double>(
-      stats.images.evicted_bytes + stats.frontiers.evicted_bytes);
+  const auto after = fx.service.cache_stats();
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * thrash_order().size()));
+  const auto per_pass = [](std::uint64_t delta) {
+    return benchmark::Counter(static_cast<double>(delta),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["evictions"] =
+      per_pass(after.images.evictions + after.frontiers.evictions -
+               before.images.evictions - before.frontiers.evictions);
+  state.counters["evicted_bytes"] =
+      per_pass(after.images.evicted_bytes + after.frontiers.evicted_bytes -
+               before.images.evicted_bytes - before.frontiers.evicted_bytes);
+  state.counters["hits"] =
+      per_pass(after.images.hits + after.frontiers.hits -
+               before.images.hits - before.frontiers.hits);
   state.SetLabel(pct == 0
-                     ? "6-task grid, unbounded cache (baseline)"
-                     : "6-task grid, budget " + std::to_string(pct) +
-                           "% of warm working set");
+                     ? "Zipf stream, unbounded cache (baseline)"
+                     : "Zipf stream, budget " + std::to_string(pct) +
+                           "% of working set");
 }
 BENCHMARK(bm_service_thrash)
     ->Arg(0)
     ->Arg(25)
     ->Arg(50)
     ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void bm_wire_roundtrip_sweep_result(benchmark::State& state) {
   // The serve front door's steady-state codec cost: one 12-outcome

@@ -8,7 +8,10 @@
 // the google-benchmark registrations below emit the stable series for
 // BENCH_sweep.json. Parallel outcomes are byte-identical to the
 // sequential grid (tests/sweep/sweep_test.cpp pins that); the table's
-// checksum column makes a divergence visible here too.
+// checksum column makes a divergence visible here too. bm_sweep_widecfg
+// is the one-worker series where run_sweep's shared planner geometry
+// (one materialized FrontierCache per k) is a measurable share of the
+// cell.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -95,8 +98,8 @@ void print_tables() {
       "wall clock and speedup vs a 1-worker sequential grid");
   const auto tasks = make_grid();
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
-            << " (speedup saturates there; on one vCPU the pool can only\n"
-               "add scheduling overhead, so expect ~1.0 or slightly below)\n\n";
+            << " (speedup saturates there; rows past it can only add\n"
+               "scheduling overhead)\n\n";
 
   TextTable table;
   table.row()
@@ -128,51 +131,6 @@ void print_tables() {
   std::cout << "Shape check: identical checksums across worker counts\n"
                "(deterministic sharding), speedup approaching the worker\n"
                "count until the grid runs out of tasks per worker.\n\n";
-
-  // Lockstep batching at one worker. On this grid the traces are long
-  // relative to the CFG, so the amortized setup is small and the
-  // column is expected to be ~flat; the regime where batching wins
-  // outright is the wide-CFG/short-trace series below
-  // (bm_sweep_batch_widecfg). Checksums must match the batch=1 row --
-  // batching is a scheduling knob, never a results knob.
-  TextTable batched;
-  batched.row()
-      .cell("batch")
-      .cell("cells")
-      .cell("wall ms")
-      .cell("cells/s")
-      .cell("vs batch=1")
-      .cell("checksum");
-  double unbatched_ms = 0.0;
-  for (const std::uint32_t batch : {1u, 2u, 4u, 8u, 16u}) {
-    sweep::SweepOptions options;
-    options.workers = 1;
-    options.batch_cells = batch;
-    const auto start = std::chrono::steady_clock::now();
-    const auto outcomes = sweep_system().run_sweep(tasks, options);
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (batch == 1) unbatched_ms = elapsed.count();
-    char checksum[32];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(grid_checksum(outcomes)));
-    batched.row()
-        .cell(std::uint64_t{batch})
-        .cell(std::uint64_t{outcomes.size()})
-        .cell(elapsed.count(), 1)
-        .cell(elapsed.count() > 0
-                  ? static_cast<double>(outcomes.size()) * 1000.0 /
-                        elapsed.count()
-                  : 0.0,
-              1)
-        .cell(unbatched_ms > 0 ? unbatched_ms / elapsed.count() : 1.0, 2)
-        .cell(checksum);
-  }
-  std::cout << batched.render() << '\n';
-  std::cout << "Shape check: identical checksums down the column (the\n"
-               "determinism claim); wall clock ~flat here -- long traces\n"
-               "dwarf the amortized setup. bm_sweep_batch_widecfg is the\n"
-               "series where the batch width pays for itself.\n\n";
 }
 
 void bm_sweep_grid(benchmark::State& state) {
@@ -197,43 +155,14 @@ BENCHMARK(bm_sweep_grid)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// The batching trend for BENCH_sweep.json: grid cells stepped per
-/// second at one worker as the lockstep batch width grows.
-/// items_per_second IS cells-stepped/sec, so real hardware can read the
-/// series past the 1-vCPU container this repo's CI runs on.
-void bm_sweep_batch(benchmark::State& state) {
-  const auto tasks = make_grid();
-  sweep::SweepOptions options;
-  options.workers = 1;
-  options.batch_cells = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t cells_stepped = 0;
-  for (auto _ : state) {
-    const auto outcomes = sweep_system().run_sweep(tasks, options);
-    benchmark::DoNotOptimize(outcomes.data());
-    cells_stepped += outcomes.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cells_stepped));
-  state.SetLabel("batch-" + std::to_string(options.batch_cells));
-}
-BENCHMARK(bm_sweep_batch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-/// Wide-CFG / short-trace workload: the regime where batching's shared
-/// setup dominates. Per cell the per-engine path pays O(B + T) setup --
-/// trace validation, slot layout, size + execution-cost tables, a
-/// profile-predictor trace pass, and for planning strategies one
-/// bounded frontier BFS per exited block -- before an O(T) run; with B
-/// large and T short that setup is the bulk of the cell, and a batch
-/// pays it once instead of once per cell. The suite workloads above are
-/// the opposite regime (tiny B, long T), which is why their batching
-/// delta sits in the noise.
+/// Wide-CFG / short-trace workload: the regime where per-cell setup is
+/// the bulk of a cell. Each engine pays O(B + T) setup -- trace
+/// validation, slot layout, size + execution-cost tables, a
+/// profile-predictor trace pass -- and a planning engine that owns its
+/// geometry also runs one bounded frontier BFS per exited block. With B
+/// large and T short, run_sweep's one shared FrontierCache per k is
+/// what keeps that geometry cost per grid instead of per cell. The suite
+/// workloads above are the opposite regime (tiny B, long T).
 struct WideCfgWorkload {
   cfg::Cfg graph;
   std::unique_ptr<runtime::BlockImage> image;
@@ -276,8 +205,8 @@ const WideCfgWorkload& wide_cfg_workload() {
 }
 
 /// A 16-cell planning-heavy grid over the wide CFG (the on-demand rows
-/// are excluded on purpose: they skip the geometry setup whose
-/// amortization this series measures).
+/// are excluded on purpose: they skip the geometry setup whose sharing
+/// this series measures).
 std::vector<sweep::SweepTask> wide_cfg_grid() {
   std::vector<sweep::SweepTask> tasks;
   for (const auto strategy : {runtime::DecompressionStrategy::kPreAll,
@@ -301,26 +230,24 @@ std::vector<sweep::SweepTask> wide_cfg_grid() {
   return tasks;
 }
 
-void bm_sweep_batch_widecfg(benchmark::State& state) {
+/// Grid cells per second at one worker on the wide CFG; items/sec is
+/// cells/sec.
+void bm_sweep_widecfg(benchmark::State& state) {
   const auto& w = wide_cfg_workload();
   const auto tasks = wide_cfg_grid();
   sweep::SweepOptions options;
   options.workers = 1;
-  options.batch_cells = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t cells_stepped = 0;
+  std::uint64_t cells = 0;
   for (auto _ : state) {
     const auto outcomes =
         sweep::run_sweep(w.graph, *w.image, w.trace, tasks, options);
     benchmark::DoNotOptimize(outcomes.data());
-    cells_stepped += outcomes.size();
+    cells += outcomes.size();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cells_stepped));
-  state.SetLabel("wide-cfg batch-" + std::to_string(options.batch_cells));
+  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
+  state.SetLabel("wide-cfg 1-worker");
 }
-BENCHMARK(bm_sweep_batch_widecfg)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
+BENCHMARK(bm_sweep_widecfg)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -30,72 +30,41 @@ void PatchSet::add(cfg::BlockId pred) {
 
 }  // namespace detail
 
-StateBatch::StateBatch(std::size_t block_count, std::size_t cell_count)
-    : blocks_(block_count),
-      cell_count_(cell_count),
-      form_(block_count * cell_count, BlockForm::kCompressed),
-      executing_(block_count * cell_count, 0),
-      address_(block_count * cell_count, 0),
-      ready_time_(block_count * cell_count, 0),
-      last_use_(block_count * cell_count, 0),
-      kedge_(block_count * cell_count, 0),
-      sizes_(block_count * cell_count, 0),
-      patches_(block_count * cell_count),
-      views_(cell_count) {
-  APCC_CHECK(cell_count > 0, "state batch needs at least one cell");
-}
-
-StateBatch::~StateBatch() = default;
-
-StateTable& StateBatch::cell(std::size_t c) {
-  APCC_CHECK(c < cell_count_, "cell index out of range");
-  if (!views_[c]) views_[c].reset(new StateTable(*this, c));
-  return *views_[c];
-}
-
 StateTable::StateTable(std::size_t block_count)
-    : owned_(std::make_unique<StateBatch>(block_count, 1)),
-      batch_(owned_.get()),
-      base_(0),
-      blocks_(block_count),
+    : blocks_(block_count),
+      form_(block_count, BlockForm::kCompressed),
+      executing_(block_count, 0),
+      address_(block_count, 0),
+      ready_time_(block_count, 0),
+      last_use_(block_count, 0),
+      kedge_(block_count, 0),
+      sizes_(block_count, 0),
+      patches_(block_count),
       decomp_pos_(block_count, kNotInList) {
   form_counts_[static_cast<std::size_t>(BlockForm::kCompressed)] = block_count;
 }
 
-StateTable::StateTable(StateBatch& batch, std::size_t cell)
-    : batch_(&batch),
-      base_(cell * batch.blocks_),
-      blocks_(batch.blocks_),
-      decomp_pos_(batch.blocks_, kNotInList) {
-  form_counts_[static_cast<std::size_t>(BlockForm::kCompressed)] = blocks_;
-}
-
 BlockRef StateTable::operator[](cfg::BlockId id) {
   APCC_CHECK(id < blocks_, "block id out of range");
-  const std::size_t i = at(id);
-  return BlockRef(batch_->address_[i], batch_->ready_time_[i],
-                  batch_->kedge_[i], batch_->form_[i], batch_->last_use_[i],
-                  batch_->executing_[i], batch_->patches_[i]);
+  return BlockRef(address_[id], ready_time_[id], kedge_[id], form_[id],
+                  last_use_[id], executing_[id], patches_[id]);
 }
 
 ConstBlockRef StateTable::operator[](cfg::BlockId id) const {
   APCC_CHECK(id < blocks_, "block id out of range");
-  const std::size_t i = at(id);
-  return ConstBlockRef(batch_->address_[i], batch_->ready_time_[i],
-                       batch_->kedge_[i], batch_->form_[i],
-                       batch_->last_use_[i], batch_->executing_[i],
-                       batch_->patches_[i]);
+  return ConstBlockRef(address_[id], ready_time_[id], kedge_[id], form_[id],
+                       last_use_[id], executing_[id], patches_[id]);
 }
 
 bool StateTable::eligible(cfg::BlockId id, cfg::BlockId protect) const {
-  return id != protect && batch_->executing_[at(id)] == 0;
+  return id != protect && executing_[id] == 0;
 }
 
 void StateTable::index_insert(cfg::BlockId id) {
   decomp_pos_[id] = static_cast<std::uint32_t>(decomp_list_.size());
   decomp_list_.push_back(id);
-  lru_index_.emplace(batch_->last_use_[at(id)], id);
-  size_index_.emplace(batch_->sizes_[at(id)], id);
+  lru_index_.emplace(last_use_[id], id);
+  size_index_.emplace(sizes_[id], id);
 }
 
 void StateTable::index_erase(cfg::BlockId id) {
@@ -105,13 +74,13 @@ void StateTable::index_erase(cfg::BlockId id) {
   decomp_pos_[moved] = pos;
   decomp_list_.pop_back();
   decomp_pos_[id] = kNotInList;
-  lru_index_.erase(Key{batch_->last_use_[at(id)], id});
-  size_index_.erase(Key{batch_->sizes_[at(id)], id});
+  lru_index_.erase(Key{last_use_[id], id});
+  size_index_.erase(Key{sizes_[id], id});
 }
 
 void StateTable::set_form(cfg::BlockId id, BlockForm form) {
   APCC_CHECK(id < blocks_, "block id out of range");
-  BlockForm& current = batch_->form_[at(id)];
+  BlockForm& current = form_[id];
   if (current == form) return;
   if (current == BlockForm::kDecompressed) index_erase(id);
   --form_counts_[static_cast<std::size_t>(current)];
@@ -122,9 +91,8 @@ void StateTable::set_form(cfg::BlockId id, BlockForm form) {
 
 void StateTable::touch(cfg::BlockId id, std::uint64_t time) {
   APCC_CHECK(id < blocks_, "block id out of range");
-  const std::size_t i = at(id);
-  std::uint64_t& last_use = batch_->last_use_[i];
-  if (batch_->form_[i] == BlockForm::kDecompressed && last_use != time) {
+  std::uint64_t& last_use = last_use_[id];
+  if (form_[id] == BlockForm::kDecompressed && last_use != time) {
     lru_index_.erase(Key{last_use, id});
     lru_index_.emplace(time, id);
   }
@@ -133,18 +101,18 @@ void StateTable::touch(cfg::BlockId id, std::uint64_t time) {
 
 void StateTable::set_executing(cfg::BlockId id, bool executing) {
   APCC_CHECK(id < blocks_, "block id out of range");
-  batch_->executing_[at(id)] = executing ? 1 : 0;
+  executing_[id] = executing ? 1 : 0;
 }
 
 void StateTable::set_block_sizes(std::vector<std::uint64_t> sizes) {
   APCC_CHECK(sizes.size() == blocks_, "size table does not match block count");
   // Re-key the size index for any currently decompressed blocks.
   for (const cfg::BlockId id : decomp_list_) {
-    size_index_.erase(Key{batch_->sizes_[at(id)], id});
+    size_index_.erase(Key{sizes_[id], id});
   }
-  std::copy(sizes.begin(), sizes.end(), batch_->sizes_.begin() + base_);
+  sizes_ = std::move(sizes);
   for (const cfg::BlockId id : decomp_list_) {
-    size_index_.emplace(batch_->sizes_[at(id)], id);
+    size_index_.emplace(sizes_[id], id);
   }
 }
 
@@ -191,13 +159,12 @@ cfg::BlockId StateTable::lru_victim_reference(cfg::BlockId protect) const {
   cfg::BlockId victim = cfg::kInvalidBlock;
   std::uint64_t oldest = UINT64_MAX;
   for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::size_t f = base_ + i;
-    if (batch_->form_[f] != BlockForm::kDecompressed || batch_->executing_[f]) {
+    if (form_[i] != BlockForm::kDecompressed || executing_[i]) {
       continue;
     }
     if (static_cast<cfg::BlockId>(i) == protect) continue;
-    if (batch_->last_use_[f] < oldest) {
-      oldest = batch_->last_use_[f];
+    if (last_use_[i] < oldest) {
+      oldest = last_use_[i];
       victim = static_cast<cfg::BlockId>(i);
     }
   }
@@ -209,13 +176,12 @@ cfg::BlockId StateTable::mru_victim_reference(cfg::BlockId protect) const {
   std::uint64_t newest = 0;
   bool found = false;
   for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::size_t f = base_ + i;
-    if (batch_->form_[f] != BlockForm::kDecompressed ||
-        batch_->executing_[f] || static_cast<cfg::BlockId>(i) == protect) {
+    if (form_[i] != BlockForm::kDecompressed ||
+        executing_[i] || static_cast<cfg::BlockId>(i) == protect) {
       continue;
     }
-    if (!found || batch_->last_use_[f] > newest) {
-      newest = batch_->last_use_[f];
+    if (!found || last_use_[i] > newest) {
+      newest = last_use_[i];
       victim = static_cast<cfg::BlockId>(i);
       found = true;
     }
@@ -227,13 +193,12 @@ cfg::BlockId StateTable::largest_victim_reference(cfg::BlockId protect) const {
   cfg::BlockId victim = cfg::kInvalidBlock;
   std::uint64_t biggest = 0;
   for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::size_t f = base_ + i;
-    if (batch_->form_[f] != BlockForm::kDecompressed ||
-        batch_->executing_[f] || static_cast<cfg::BlockId>(i) == protect) {
+    if (form_[i] != BlockForm::kDecompressed ||
+        executing_[i] || static_cast<cfg::BlockId>(i) == protect) {
       continue;
     }
-    if (batch_->sizes_[f] > biggest) {
-      biggest = batch_->sizes_[f];
+    if (sizes_[i] > biggest) {
+      biggest = sizes_[i];
       victim = static_cast<cfg::BlockId>(i);
     }
   }

@@ -6,16 +6,11 @@
 // the LRU timestamp for budget mode, and the remember set of patched
 // branch sites.
 //
-// Storage is a structure-of-arrays plane, StateBatch: one parallel
-// array per field, cell-major, so N grid cells stepping over the same
-// trace share one allocation and keep each field's lane contiguous.
-// StateTable is the *cell view* over one lane of that plane -- the
-// interface every policy-side consumer (engine step logic, k-edge
-// manager, planner, predictors) programs against. A standalone
-// `StateTable(block_count)` owns a private single-cell batch, so the
-// per-engine path is the same code as the batched path with N == 1.
+// Storage is a structure-of-arrays table: one parallel array per field,
+// indexed by block id. Blocks are handed out as BlockRef proxies over
+// those arrays.
 //
-// The view is indexed: it maintains the set of decompressed blocks as a
+// The table is indexed: it maintains the set of decompressed blocks as a
 // dense id list (O(D) iteration instead of O(B) full scans) plus two
 // ordered victim indexes -- (last_use_time, id) and (copy size, id) --
 // so LRU / MRU / largest-victim selection is O(log B) instead of a scan.
@@ -26,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -46,11 +40,10 @@ enum class BlockForm : std::uint8_t {
 [[nodiscard]] const char* block_form_name(BlockForm f);
 
 class StateTable;
-class StateBatch;
 
 namespace detail {
 
-/// Remember set of one (cell, block): predecessor blocks whose branch to
+/// Remember set of one block: predecessor blocks whose branch to
 /// this block has been patched to target the decompressed copy directly
 /// (paper §5), in patch order (unpatch events replay it in that order).
 /// A sorted mirror backs contains(), so membership tests are O(log n)
@@ -69,8 +62,8 @@ struct PatchSet {
 
 }  // namespace detail
 
-/// Mutable proxy for one block of one cell. Value type over references
-/// into the backing StateBatch lanes -- copy it freely (`auto s = t[b]`),
+/// Mutable proxy for one block. Value type over references into the
+/// backing StateTable lanes -- copy it freely (`auto s = t[b]`),
 /// the copies alias the same block. The directly assignable members are
 /// exactly the fields no victim/decompressed index depends on.
 class BlockRef {
@@ -152,13 +145,10 @@ class ConstBlockRef {
   const detail::PatchSet& patches_;
 };
 
-/// The cell view: per-block dynamic state of one cell plus aggregate
-/// queries over the maintained indexes. Every view -- standalone or a
-/// lane of a multi-cell StateBatch -- exposes the identical interface,
-/// so policy code never knows whether it is batched.
+/// Per-block dynamic state of one engine run plus aggregate queries
+/// over the maintained indexes.
 class StateTable {
  public:
-  /// Standalone table: owns a private single-cell StateBatch.
   explicit StateTable(std::size_t block_count);
 
   StateTable(const StateTable&) = delete;
@@ -215,14 +205,7 @@ class StateTable {
       cfg::BlockId protect) const;
 
  private:
-  friend class StateBatch;
   using Key = std::pair<std::uint64_t, cfg::BlockId>;  // (key, id)
-
-  /// Lane view over cell `cell` of `batch`.
-  StateTable(StateBatch& batch, std::size_t cell);
-
-  /// Flat index of block `id` in the batch's cell-major lanes.
-  [[nodiscard]] std::size_t at(cfg::BlockId id) const { return base_ + id; }
 
   void index_insert(cfg::BlockId id);
   void index_erase(cfg::BlockId id);
@@ -234,54 +217,22 @@ class StateTable {
 
   static constexpr std::uint32_t kNotInList = UINT32_MAX;
 
-  std::unique_ptr<StateBatch> owned_;  // standalone tables only
-  StateBatch* batch_;                  // backing plane (owned_ or external)
-  std::size_t base_;                   // cell * block_count lane offset
   std::size_t blocks_;
-  std::vector<std::uint32_t> decomp_pos_;   // position in decomp_list_
-  std::vector<cfg::BlockId> decomp_list_;   // dense decompressed-id list
-  std::set<Key> lru_index_;                 // (last_use_time, id)
-  std::set<Key> size_index_;                // (size, id)
-  std::size_t form_counts_[3] = {0, 0, 0};
-};
-
-/// Structure-of-arrays state plane for `cell_count` cells over the same
-/// CFG. Each dynamic field is one flat cell-major array (flat index
-/// `cell * block_count + block`), so a batch of engines advancing in
-/// lockstep touches contiguous storage instead of N pointer-chased
-/// tables. Cells are exposed as StateTable views (see above); the views
-/// are created lazily and remain stable for the batch's lifetime.
-class StateBatch {
- public:
-  StateBatch(std::size_t block_count, std::size_t cell_count);
-  ~StateBatch();
-
-  StateBatch(const StateBatch&) = delete;
-  StateBatch& operator=(const StateBatch&) = delete;
-
-  [[nodiscard]] std::size_t block_count() const { return blocks_; }
-  [[nodiscard]] std::size_t cell_count() const { return cell_count_; }
-
-  /// The StateTable view of cell `c`; stable across calls.
-  [[nodiscard]] StateTable& cell(std::size_t c);
-
- private:
-  friend class StateTable;
-  friend class BlockRef;
-  friend class ConstBlockRef;
-
-  std::size_t blocks_;
-  std::size_t cell_count_;
-  // Cell-major parallel lanes, each of size blocks_ * cell_count_.
+  // Parallel per-block lanes, each of size blocks_.
   std::vector<BlockForm> form_;
   std::vector<std::uint8_t> executing_;
   std::vector<std::uint64_t> address_;
   std::vector<std::uint64_t> ready_time_;
   std::vector<std::uint64_t> last_use_;
   std::vector<std::uint32_t> kedge_;
-  std::vector<std::uint64_t> sizes_;  // largest-victim key per (cell, block)
+  std::vector<std::uint64_t> sizes_;  // largest-victim key per block
   std::vector<detail::PatchSet> patches_;
-  std::vector<std::unique_ptr<StateTable>> views_;  // lazy, stable
+
+  std::vector<std::uint32_t> decomp_pos_;   // position in decomp_list_
+  std::vector<cfg::BlockId> decomp_list_;   // dense decompressed-id list
+  std::set<Key> lru_index_;                 // (last_use_time, id)
+  std::set<Key> size_index_;                // (size, id)
+  std::size_t form_counts_[3] = {0, 0, 0};
 };
 
 }  // namespace apcc::runtime

@@ -32,8 +32,6 @@ void validate(const JobSpec& spec) {
                      std::to_string(spec.workloads.size()));
       APCC_CHECK(spec.tasks.empty(),
                  "run job takes a single configuration, not a task grid");
-      APCC_CHECK(spec.batch_cells == 0,
-                 "run job has a single cell; batch-cells does not apply");
       break;
     case JobKind::kSweep:
       APCC_CHECK(spec.workloads.size() == 1,

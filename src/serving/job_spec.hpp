@@ -72,11 +72,12 @@ enum class JobStatus : std::uint8_t {
 /// deliberately whenever a field is added, removed, or re-interpreted.
 /// v3: added the optional `deadline-ms` job field and the rejected /
 /// cancelled / deadline-exceeded result statuses.
-/// v4: added the optional `batch-cells` job field (lockstep multi-cell
-/// stepping for sweep/campaign); omitted means 0, the per-engine path,
-/// which is byte-identical to every batched setting.
+/// v4: added an optional lockstep batch-width job field.
+/// v5: removed that field (lockstep batching is gone) and the job-level
+/// and per-task reference-path debug switches, which are test-only
+/// sim::EngineConfig fields now.
 struct JobSpec {
-  static constexpr int kWireVersion = 4;
+  static constexpr int kWireVersion = 5;
 
   JobKind kind = JobKind::kRun;
   /// Workload references ("@<id>" or a registered name). Exactly one
@@ -91,12 +92,6 @@ struct JobSpec {
   /// Borrow the cached (workload, predecompress_k) geometry
   /// (bit-identical either way).
   bool share_frontiers = true;
-  /// Grid cells stepped per pool work item (sweep/campaign only; a run
-  /// job has a single cell and rejects a nonzero value). 0 and 1 keep
-  /// the one-Engine-per-cell path; N > 1 advances N consecutive grid
-  /// cells in lockstep per work item (sim::BatchEngine). Scheduling
-  /// granularity changes; results never do.
-  std::uint32_t batch_cells = 0;
 
   // -- QoS / scheduling metadata --------------------------------------
   sweep::Priority priority = sweep::Priority::kNormal;

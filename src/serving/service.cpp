@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "compress/codec.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/engine.hpp"
 #include "support/strings.hpp"
 
@@ -53,22 +52,6 @@ struct Service::ImageSlot {
   std::uint64_t rebuild_cost = 0;  // estimate_image_cost at publish
   std::uint64_t last_use = 0;      // cache_clock_ at last borrow/publish
 };
-
-Service::CellLease::CellLease(CellLease&& other) noexcept {
-  *this = std::move(other);
-}
-
-Service::CellLease& Service::CellLease::operator=(
-    CellLease&& other) noexcept {
-  if (this != &other) {
-    release();
-    image_ = other.image_;
-    frontier_ = other.frontier_;
-    other.image_ = nullptr;
-    other.frontier_ = nullptr;
-  }
-  return *this;
-}
 
 Service::CellLease::~CellLease() { release(); }
 
@@ -544,164 +527,57 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
                   std::chrono::milliseconds(deadline_ms);
   }
 
-  // Batched stepping (batch-cells > 1): a pool work item advances a run
-  // of consecutive grid cells in lockstep (sim::BatchEngine) instead of
-  // one cell. The task boundary and the artifact lookups stay *per
-  // cell*, so FaultPlan ordinals, cancellation points, and cache-stats
-  // counters are identical to the sequential path; a cell that faults
-  // or cancels is retired in place while its batch siblings finish, and
-  // the first failure propagates after the batch (the sequential
-  // rethrow order at one worker).
-  const auto run_batch = [this, ctx, state](Registered& target,
-                                            std::size_t begin,
-                                            std::size_t end,
-                                            sweep::ResultSink& sink) {
-    std::vector<std::size_t> indices;
-    std::vector<sim::EngineConfig> configs;
-    // One lease per admitted cell, collected so every borrow outlives
-    // the whole batched run below (a batch sibling's artifacts must not
-    // become eviction victims while the lockstep engine still reads
-    // them). Destruction at scope exit releases the pins.
-    std::vector<CellLease> leases;
-    std::exception_ptr first_error;
-    const runtime::BlockImage* image = nullptr;
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        // Cancelled cells retire quietly; a boundary that throws (fault
-        // injection) fails only this cell -- siblings still run.
-        if (!task_boundary(*state)) continue;
-        CellLease lease;
-        image =
-            &image_for(target, ctx->spec.config, state->token.get(), lease);
-        configs.push_back(cell_config(target, ctx->spec.tasks[i].config,
-                                      ctx->spec.share_frontiers,
-                                      state->token.get(), lease));
-        indices.push_back(i);
-        leases.push_back(std::move(lease));
-      } catch (const JobCancelled&) {
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (!indices.empty()) {
-      sim::BatchEngine engine(target.workload->cfg, *image,
-                              std::move(configs));
-      auto outcomes = engine.run(target.workload->trace);
-      for (std::size_t c = 0; c < indices.size(); ++c) {
-        if (!outcomes[c].ok()) {
-          if (!first_error) first_error = outcomes[c].error;
-          continue;
-        }
-        sink.push(sweep::SweepOutcome{indices[c],
-                                      ctx->spec.tasks[indices[c]].label,
-                                      outcomes[c].result});
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  };
-  const std::size_t batch = ctx->spec.batch_cells;
-
   std::size_t total = 0;
   sweep::Pool::ItemFn item;
-  switch (ctx->spec.kind) {
-    case JobKind::kRun:
-      total = 1;
-      item = [this, ctx, state](std::size_t) {
-        if (!task_boundary(*state)) return;
-        try {
-          Registered& target = *ctx->entries[0];
-          // The lease pins the cell's borrows until scope exit -- after
-          // the engine run, so eviction never races a live engine.
-          CellLease lease;
-          const runtime::BlockImage& image =
-              image_for(target, ctx->spec.config, state->token.get(), lease);
-          const sim::EngineConfig config = cell_config(
-              target, core::engine_config(ctx->spec.config),
-              ctx->spec.share_frontiers, state->token.get(), lease);
-          sim::Engine engine(target.workload->cfg, image, config);
-          sim::RunResult result = engine.run(target.workload->trace);
-          const std::lock_guard<std::mutex> lock(state->mutex);
-          state->value.run = std::move(result);
-        } catch (const JobCancelled&) {
-          // The job is being cancelled; this item retires without a
-          // result (the finalize reports kCancelled, payload-free).
-        }
-      };
-      break;
-    case JobKind::kSweep:
-      if (batch > 1) {
-        total = (ctx->spec.tasks.size() + batch - 1) / batch;
-        ctx->sinks = std::vector<sweep::ResultSink>(1);
-        item = [ctx, run_batch, batch](std::size_t chunk) {
-          const std::size_t begin = chunk * batch;
-          const std::size_t end =
-              std::min(begin + batch, ctx->spec.tasks.size());
-          run_batch(*ctx->entries[0], begin, end, ctx->sinks[0]);
-        };
-        break;
+  if (ctx->spec.kind == JobKind::kRun) {
+    total = 1;
+    item = [this, ctx, state](std::size_t) {
+      if (!task_boundary(*state)) return;
+      try {
+        Registered& target = *ctx->entries[0];
+        // The lease pins the cell's borrows until scope exit -- after
+        // the engine run, so eviction never races a live engine.
+        CellLease lease;
+        const runtime::BlockImage& image =
+            image_for(target, ctx->spec.config, state->token.get(), lease);
+        const sim::EngineConfig config = cell_config(
+            target, core::engine_config(ctx->spec.config),
+            ctx->spec.share_frontiers, state->token.get(), lease);
+        sim::Engine engine(target.workload->cfg, image, config);
+        sim::RunResult result = engine.run(target.workload->trace);
+        const std::lock_guard<std::mutex> lock(state->mutex);
+        state->value.run = std::move(result);
+      } catch (const JobCancelled&) {
+        // The job is being cancelled; this item retires without a
+        // result (the finalize reports kCancelled, payload-free).
       }
-      total = ctx->spec.tasks.size();
-      ctx->sinks = std::vector<sweep::ResultSink>(1);
-      item = [this, ctx, state](std::size_t i) {
-        if (!task_boundary(*state)) return;
-        try {
-          Registered& target = *ctx->entries[0];
-          CellLease lease;  // pins the cell's borrows past the run
-          const runtime::BlockImage& image =
-              image_for(target, ctx->spec.config, state->token.get(), lease);
-          const sweep::SweepTask& task = ctx->spec.tasks[i];
-          const sim::EngineConfig config =
-              cell_config(target, task.config, ctx->spec.share_frontiers,
-                          state->token.get(), lease);
-          sim::Engine engine(target.workload->cfg, image, config);
-          ctx->sinks[0].push(sweep::SweepOutcome{
-              i, task.label, engine.run(target.workload->trace)});
-        } catch (const JobCancelled&) {
-        }
-      };
-      break;
-    case JobKind::kCampaign: {
-      // Same workload-major flattening as sweep::run_campaign: cell i
-      // is workload i / |grid|, task i % |grid|.
-      const std::size_t grid_size = ctx->spec.tasks.size();
-      if (batch > 1) {
-        // Batches never span workloads (one (cfg, image, trace) triple
-        // per batch): chunk each workload's grid independently.
-        const std::size_t per_workload = (grid_size + batch - 1) / batch;
-        total = ctx->entries.size() * per_workload;
-        ctx->sinks = std::vector<sweep::ResultSink>(ctx->entries.size());
-        item = [ctx, run_batch, batch, per_workload,
-                grid_size](std::size_t i) {
-          const std::size_t w = i / per_workload;
-          const std::size_t begin = (i % per_workload) * batch;
-          const std::size_t end = std::min(begin + batch, grid_size);
-          run_batch(*ctx->entries[w], begin, end, ctx->sinks[w]);
-        };
-        break;
+    };
+  } else {
+    // Sweep and campaign share sweep::run_campaign's workload-major
+    // flattening (a sweep is the one-workload case): cell i is workload
+    // i / |grid|, task i % |grid|.
+    const std::size_t grid_size = ctx->spec.tasks.size();
+    total = ctx->entries.size() * grid_size;
+    ctx->sinks = std::vector<sweep::ResultSink>(ctx->entries.size());
+    item = [this, ctx, state, grid_size](std::size_t i) {
+      if (!task_boundary(*state)) return;
+      try {
+        const std::size_t w = i / grid_size;
+        const std::size_t t = i % grid_size;
+        Registered& target = *ctx->entries[w];
+        CellLease lease;  // pins the cell's borrows past the run
+        const runtime::BlockImage& image =
+            image_for(target, ctx->spec.config, state->token.get(), lease);
+        const sweep::SweepTask& task = ctx->spec.tasks[t];
+        const sim::EngineConfig config =
+            cell_config(target, task.config, ctx->spec.share_frontiers,
+                        state->token.get(), lease);
+        sim::Engine engine(target.workload->cfg, image, config);
+        ctx->sinks[w].push(sweep::SweepOutcome{
+            t, task.label, engine.run(target.workload->trace)});
+      } catch (const JobCancelled&) {
       }
-      total = ctx->entries.size() * grid_size;
-      ctx->sinks = std::vector<sweep::ResultSink>(ctx->entries.size());
-      item = [this, ctx, state, grid_size](std::size_t i) {
-        if (!task_boundary(*state)) return;
-        try {
-          const std::size_t w = i / grid_size;
-          const std::size_t t = i % grid_size;
-          Registered& target = *ctx->entries[w];
-          CellLease lease;  // pins the cell's borrows past the run
-          const runtime::BlockImage& image =
-              image_for(target, ctx->spec.config, state->token.get(), lease);
-          const sweep::SweepTask& task = ctx->spec.tasks[t];
-          const sim::EngineConfig config =
-              cell_config(target, task.config, ctx->spec.share_frontiers,
-                          state->token.get(), lease);
-          sim::Engine engine(target.workload->cfg, image, config);
-          ctx->sinks[w].push(sweep::SweepOutcome{
-              t, task.label, engine.run(target.workload->trace)});
-        } catch (const JobCancelled&) {
-        }
-      };
-      break;
-    }
+    };
   }
 
   const JobId id = pool_->submit(
@@ -802,7 +678,6 @@ JobHandle<std::vector<sweep::SweepOutcome>> Service::submit(SweepJob job) {
   spec.config = job.config;
   spec.tasks = std::move(job.tasks);
   spec.share_frontiers = job.share_frontiers;
-  spec.batch_cells = job.batch_cells;
   return JobHandle<std::vector<sweep::SweepOutcome>>(
       submit(std::move(spec)).state_);
 }
@@ -818,7 +693,6 @@ JobHandle<std::vector<sweep::CampaignResult>> Service::submit(
   spec.config = job.config;
   spec.tasks = std::move(job.grid);
   spec.share_frontiers = job.share_frontiers;
-  spec.batch_cells = job.batch_cells;
   return JobHandle<std::vector<sweep::CampaignResult>>(
       submit(std::move(spec)).state_);
 }

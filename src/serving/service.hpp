@@ -147,8 +147,6 @@ struct SweepJob {
   /// bit-identical either way; off forces every engine to own its
   /// frontier cache (the reference behaviour).
   bool share_frontiers = true;
-  /// Grid cells stepped per pool work item (JobSpec::batch_cells).
-  std::uint32_t batch_cells = 0;
 };
 
 /// Run one grid over many workloads -- the typed veneer over a
@@ -158,8 +156,6 @@ struct CampaignJob {
   core::SystemConfig config{};
   std::vector<sweep::SweepTask> grid;
   bool share_frontiers = true;
-  /// Grid cells stepped per pool work item (JobSpec::batch_cells).
-  std::uint32_t batch_cells = 0;
 };
 
 namespace detail {
@@ -378,14 +374,11 @@ class Service {
   /// lambdas arrange to happen only after the cell's engine run
   /// finished. While a lease is live its artifacts are never eviction
   /// victims, so engines hold plain references with no locking --
-  /// exactly the pre-budget borrowing contract. Movable (batched cells
-  /// collect their leases into a vector that outlives the BatchEngine
-  /// run), not copyable (a pin has one owner).
+  /// exactly the pre-budget borrowing contract. Not copyable (a pin has
+  /// one owner).
   class CellLease {
    public:
     CellLease() = default;
-    CellLease(CellLease&& other) noexcept;
-    CellLease& operator=(CellLease&& other) noexcept;
     CellLease(const CellLease&) = delete;
     CellLease& operator=(const CellLease&) = delete;
     ~CellLease();

@@ -6,13 +6,12 @@
 // round-trip gate all speak exactly this format. Records are
 // line-oriented text:
 //
-//   apcc.job v4                      <- strict versioned header
+//   apcc.job v5                      <- strict versioned header
 //   kind sweep
 //   client bench-rig
 //   priority high
 //   max-workers 2
 //   deadline-ms 0
-//   batch-cells 0
 //   share-frontiers 1
 //   workload gsm-like
 //   codec huffman-shared
@@ -20,7 +19,7 @@
 //   task label=on-demand/k=1 strategy=on-demand kc=1 kd=1 ...
 //   end
 //
-//   apcc.result v4
+//   apcc.result v5
 //   job 1
 //   client bench-rig
 //   status ok
@@ -28,17 +27,21 @@
 //   outcome index=0 label=on-demand/k=1 total-cycles=8124 ...
 //   end
 //
-// v3 (PR 6) adds the optional `deadline-ms` job field (0 = none) and
+// v3 adds the optional `deadline-ms` job field (0 = none) and
 // widens result `status` from ok|error to the full JobStatus set --
 // ok | error | rejected | cancelled | deadline-exceeded. Only `ok`
 // carries a payload; `error` requires an `error` message line; the
 // other non-ok statuses may carry one.
 //
-// v4 (PR 7) adds the optional `batch-cells` job field (0 = the
-// per-engine path): grid cells stepped in lockstep per pool work item
-// for sweep/campaign jobs. Omitting it reproduces v3 behaviour exactly;
-// any value changes scheduling granularity, never results. Result
-// records are unchanged from v3 apart from the header version.
+// v4 adds an optional job field naming how many grid cells one pool
+// work item steps in lockstep. Result records are unchanged from v3
+// apart from the header version.
+//
+// v5 removes that lockstep batch-width field, together with the
+// job-level and per-task `reference-scans` / `reference-frontiers`
+// switches, which selected the slow reference engine paths; those stay
+// test-only sim::EngineConfig fields. Any of them in a v5 record is an
+// unknown key. Result records are unchanged apart from the header.
 //
 // Contract:
 //  * **Strict**: the header must match byte-for-byte (a future schema

@@ -2,11 +2,11 @@
 //
 // The paper's evaluation (fig3 / E10-style design-space exploration) is
 // inherently a *suite x grid* matrix: the same policy grid run over every
-// benchmark workload. run_sweep shards one workload's grid; run_campaign
-// flattens the whole (workload x task) matrix into a single
-// work-stealing queue over one shared thread pool, so a long workload's
-// tail tasks and a short workload's grid interleave instead of the pool
-// draining and refilling per workload. Outcomes come back grouped per
+// benchmark workload. run_campaign flattens the whole (workload x task)
+// matrix into a single work-stealing queue over one shared thread pool,
+// so a long workload's tail tasks and a short workload's grid interleave
+// instead of the pool draining and refilling per workload. run_sweep is
+// the one-workload case. Outcomes come back grouped per
 // workload, in task order, byte-identical to running each workload's
 // grid sequentially (tests/sweep/campaign_test.cpp pins that).
 //
@@ -59,15 +59,9 @@ struct CampaignOptions {
   /// Build one materialized FrontierCache per (workload, predecompress_k)
   /// and have every engine borrow it, instead of each engine's
   /// planner/predictor rebuilding identical geometry. Off means every
-  /// engine owns its own cache (the run_sweep behaviour); outcomes are
+  /// engine owns its own cache (the reference behaviour); outcomes are
   /// bit-identical either way.
   bool share_frontiers = true;
-  /// Matrix cells stepped per pool work item (see
-  /// SweepOptions::batch_cells). Batches never span workloads: each
-  /// workload's grid is chunked independently, so a batch shares one
-  /// (CFG, image, trace) triple. 0 and 1 keep the one-Engine-per-cell
-  /// path; results are byte-identical at any value.
-  std::uint32_t batch_cells = 0;
 };
 
 /// Run `grid` over every workload, sharded across one shared pool, and

@@ -10,9 +10,10 @@
 // sweep is byte-identical to running the grid sequentially (the
 // differential test in tests/sweep pins that).
 //
-// The pool loop itself lives in sweep/pool.hpp and is shared with the
-// suite-wide campaign runner (sweep/campaign.hpp), which runs one grid
-// over many workloads through the same machinery.
+// A sweep is a one-workload campaign (sweep/campaign.hpp): it runs on
+// the campaign's pool loop and borrows the campaign's one materialized
+// FrontierCache per predecompress_k instead of every engine rebuilding
+// identical planner geometry.
 #pragma once
 
 #include <cstddef>
@@ -48,14 +49,6 @@ struct SweepOptions {
   /// never more than there are tasks). 1 runs inline on the caller's
   /// thread with no pool at all.
   unsigned workers = 0;
-  /// Grid cells stepped per pool work item. 0 and 1 keep the historical
-  /// one-Engine-per-task path; N > 1 chunks the task list into
-  /// consecutive runs of N cells, each advanced in lockstep by one
-  /// sim::BatchEngine (amortized trace decode, block metadata, and
-  /// frontier geometry). Batched and per-engine sweeps are byte-identical
-  /// (tests/sweep pins it); the knob trades scheduling granularity for
-  /// per-cell setup cost.
-  std::uint32_t batch_cells = 0;
 };
 
 /// Thread-safe collection point for sweep outcomes.
@@ -79,10 +72,10 @@ class ResultSink {
                                        std::size_t task_count);
 
 /// Run every task against (cfg, image, trace), sharded across a thread
-/// pool, and return the outcomes in task order. The image and cfg are
-/// shared read-only across workers; each task gets a fresh Engine. A
-/// CheckError thrown by any run is rethrown on the calling thread after
-/// the pool drains.
+/// pool, and return the outcomes in task order. The image, cfg and
+/// planner geometry are shared read-only across workers; each task gets
+/// a fresh Engine. A CheckError thrown by any run is rethrown on the
+/// calling thread after the pool drains.
 [[nodiscard]] std::vector<SweepOutcome> run_sweep(
     const cfg::Cfg& cfg, const runtime::BlockImage& image,
     const cfg::BlockTrace& trace, const std::vector<SweepTask>& tasks,

@@ -229,31 +229,5 @@ TEST(StateTable, RememberSetDeduplicates) {
   EXPECT_TRUE(s.remember_set().empty());
 }
 
-TEST(StateBatch, CellsAreIndependentStableViews) {
-  StateBatch batch(4, 3);
-  EXPECT_EQ(batch.block_count(), 4u);
-  EXPECT_EQ(batch.cell_count(), 3u);
-  StateTable& a = batch.cell(0);
-  StateTable& b = batch.cell(2);
-  EXPECT_EQ(&a, &batch.cell(0)) << "views must be stable across calls";
-
-  a.set_form(1, BlockForm::kDecompressed);
-  a.touch(1, 7);
-  a[1].kedge_counter = 9;
-  a[1].add_patch(0);
-
-  // Cell 2 shares the storage plane but none of the state.
-  EXPECT_EQ(b.count(BlockForm::kDecompressed), 0u);
-  EXPECT_EQ(b[1].form(), BlockForm::kCompressed);
-  EXPECT_EQ(b[1].kedge_counter, 0u);
-  EXPECT_FALSE(b[1].is_patched_for(0));
-
-  b.set_form(1, BlockForm::kDecompressed);
-  EXPECT_EQ(b[1].last_use_time(), 0u);
-  EXPECT_EQ(a[1].last_use_time(), 7u);
-  EXPECT_EQ(a.lru_victim(cfg::kInvalidBlock), 1u);
-  EXPECT_EQ(b.lru_victim(cfg::kInvalidBlock), 1u);
-}
-
 }  // namespace
 }  // namespace apcc::runtime

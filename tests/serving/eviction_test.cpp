@@ -4,12 +4,11 @@
 // constant thrash and pin four things:
 //
 //  * differential byte-identity: the same sweep under a tiny budget
-//    matches the direct one-shot path at several worker counts and
-//    lockstep batch widths, while the eviction counters prove the
-//    budget machinery actually ran;
+//    matches the direct one-shot path at several worker counts, while
+//    the eviction counters prove the budget machinery actually ran;
 //  * pinning: artifacts borrowed by in-flight cells survive any
-//    eviction pressure (a parked batch holds its leases while another
-//    job thrashes the cache);
+//    eviction pressure (a cell's own geometry publish cannot evict the
+//    image it is running on), and retired cells let go of them;
 //  * fault interaction: an injected build failure under eviction
 //    pressure still rolls back cleanly, and the rebuilt artifact is
 //    byte-identical;
@@ -20,9 +19,7 @@
 // publish-time eviction pass get race coverage for free.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -44,51 +41,12 @@ ServiceOptions budgeted(unsigned workers, CacheBudget budget) {
   return options;
 }
 
-/// Parks the task boundary with ordinal `park_at` until release();
-/// every other boundary passes straight through. Unlike the
-/// fault-injection BoundaryGate (which parks boundary 1), this lets a
-/// batch run its first cell -- acquiring and pinning artifacts -- and
-/// then hold them parked while the test thrashes the cache.
-struct ParkAt {
-  explicit ParkAt(std::size_t park_at) : park_at_(park_at) {}
-
-  std::shared_ptr<const FaultPlan> plan() {
-    auto p = std::make_shared<FaultPlan>();
-    p->on_boundary = [this](std::size_t n) {
-      if (n != park_at_) return;
-      std::unique_lock<std::mutex> lock(mutex_);
-      parked_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return open_; });
-    };
-    return p;
-  }
-  void await_parked() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return parked_; });
-  }
-  void release() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  const std::size_t park_at_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool parked_ = false;
-  bool open_ = false;
-};
-
 TEST(Eviction, TinyBudgetSweepIsByteIdenticalToDirect) {
   // The acceptance differential: per-kind budgets of one byte mean
   // every publish finds the cache over budget, so every unpinned
   // artifact is evicted as soon as a new one lands -- maximum thrash.
   // Outcomes must still match the direct one-shot sweep byte for byte
-  // at every worker count and batch width.
+  // at every worker count.
   const auto grid = test_grid();
   sweep::SweepOptions sequential;
   sequential.workers = 1;
@@ -97,37 +55,30 @@ TEST(Eviction, TinyBudgetSweepIsByteIdenticalToDirect) {
   tiny.image_bytes = 1;
   tiny.frontier_bytes = 1;
   for (const unsigned workers : {1u, 2u, 4u}) {
-    for (const std::uint32_t batch : {1u, 16u}) {
-      SCOPED_TRACE(std::to_string(workers) + " workers, batch " +
-                   std::to_string(batch));
-      Fixture fx(budgeted(workers, tiny));
-      SweepJob job;
-      job.workload = fx.ids[0];
-      job.tasks = grid;
-      job.batch_cells = batch;
-      const auto outcomes = fx.service.submit(job).wait();
-      ASSERT_EQ(outcomes.size(), direct.size());
-      for (std::size_t i = 0; i < direct.size(); ++i) {
-        expect_identical(outcomes[i], direct[i]);
-      }
-      const auto stats = fx.service.cache_stats();
-      // Eviction changes counters, never bytes: every rebuild is also
-      // a fresh miss, so misses == built still holds (no build failed).
-      EXPECT_EQ(stats.frontiers.misses, stats.frontiers.built);
-      EXPECT_EQ(stats.images.misses, stats.images.built);
-      if (workers == 1 && batch == 1) {
-        // One worker runs the cells in grid order, which alternates
-        // k=1 / k=4, so each geometry publish finds the other key
-        // resident and unpinned: guaranteed thrash. (At higher worker
-        // counts concurrent cells may pin both keys at every publish,
-        // so only byte-identity is deterministic; at batch 16 one work
-        // item leases all 12 cells' artifacts at once, so everything is
-        // pinned at publish time and eviction correctly finds no
-        // victim.)
-        EXPECT_GT(stats.frontiers.evictions, 0u);
-        EXPECT_GT(stats.frontiers.evicted_bytes, 0u);
-        EXPECT_GT(stats.frontiers.built, 2u);  // rebuilt after eviction
-      }
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    Fixture fx(budgeted(workers, tiny));
+    SweepJob job;
+    job.workload = fx.ids[0];
+    job.tasks = grid;
+    const auto outcomes = fx.service.submit(job).wait();
+    ASSERT_EQ(outcomes.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      expect_identical(outcomes[i], direct[i]);
+    }
+    const auto stats = fx.service.cache_stats();
+    // Eviction changes counters, never bytes: every rebuild is also
+    // a fresh miss, so misses == built still holds (no build failed).
+    EXPECT_EQ(stats.frontiers.misses, stats.frontiers.built);
+    EXPECT_EQ(stats.images.misses, stats.images.built);
+    if (workers == 1) {
+      // One worker runs the cells in grid order, which alternates
+      // k=1 / k=4, so each geometry publish finds the other key
+      // resident and unpinned: guaranteed thrash. (At higher worker
+      // counts concurrent cells may pin both keys at every publish,
+      // so only byte-identity is deterministic.)
+      EXPECT_GT(stats.frontiers.evictions, 0u);
+      EXPECT_GT(stats.frontiers.evicted_bytes, 0u);
+      EXPECT_GT(stats.frontiers.built, 2u);  // rebuilt after eviction
     }
   }
 }
@@ -185,68 +136,48 @@ TEST(Eviction, ImageEvictionAcrossWorkloadsRebuildsByteIdentical) {
 }
 
 TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
-  // Job A: one 12-cell lockstep batch on workload 0, parked at its
-  // second cell's boundary -- cell 1's leases (image + k=1 geometry)
-  // are live. Job B then thrashes the cache on workload 1 under
-  // one-byte ceilings. A's pinned artifacts must survive every
-  // eviction pass B triggers, and A must complete byte-identical after
-  // release.
-  const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct_a = reference_systems()[0].run_sweep(grid, sequential);
-  const auto direct_b = reference_systems()[1].run_sweep(grid, sequential);
-
-  ParkAt gate(2);  // boundary 1 = A's first cell; 2 = A's second
+  // A cell pins its image before it claims its geometry, so its own
+  // geometry publish runs an eviction pass while the cell is in flight.
+  // Under one-byte ceilings both of job A's artifacts are over budget
+  // at that pass, and both must survive because A's single cell pins
+  // them. Once the cell retires its pins are gone: job B's publishes
+  // (another workload) evict A's image and geometry. One worker keeps
+  // the publish order fixed.
   CacheBudget tiny;
   tiny.image_bytes = 1;
   tiny.frontier_bytes = 1;
-  ServiceOptions options = budgeted(2, tiny);
-  options.faults = gate.plan();
-  Fixture fx(options);
+  Fixture fx(budgeted(1, tiny));
+  const unsigned k = core::SystemConfig{}.policy.predecompress_k;
 
-  SweepJob job_a;
+  RunJob job_a;
   job_a.workload = fx.ids[0];
-  job_a.tasks = grid;
-  job_a.batch_cells = 16;  // one item leases every cell it admits
-  const auto handle_a = fx.service.submit(job_a);
-  gate.await_parked();
-
-  // While A is parked, its first cell's artifacts are pinned and
-  // resident (the k=1 geometry slot stays ready through everything B
-  // does below).
-  const runtime::SharedFrontier* slot_a =
-      fx.service.frontier_slot(fx.ids[0], 1);
+  expect_identical(fx.service.submit(job_a).wait(),
+                   reference_systems()[0].run());
+  const runtime::SharedFrontier* slot_a = fx.service.frontier_slot(fx.ids[0], k);
   ASSERT_NE(slot_a, nullptr);
-  EXPECT_TRUE(slot_a->ready());
-  EXPECT_GT(slot_a->pins(), 0u);
-
-  SweepJob job_b;
-  job_b.workload = fx.ids[1];
-  job_b.tasks = grid;
-  const auto outcomes_b = fx.service.submit(job_b).wait();
-  ASSERT_EQ(outcomes_b.size(), direct_b.size());
-  for (std::size_t i = 0; i < direct_b.size(); ++i) {
-    expect_identical(outcomes_b[i], direct_b[i]);
-  }
-
   {
     const auto stats = fx.service.cache_stats();
-    // B thrashed: its k-alternating publishes evicted its own unpinned
-    // geometry...
-    EXPECT_GT(stats.frontiers.evictions, 0u);
-    // ...but never A's pinned artifacts: both images resident (A's
-    // pinned, B's just published), A's k=1 geometry still ready.
+    EXPECT_EQ(stats.images.built, 1u);
+    EXPECT_EQ(stats.frontiers.built, 1u);
     EXPECT_EQ(stats.images.evictions, 0u);
-    EXPECT_EQ(stats.images.entries, 2u);
+    EXPECT_EQ(stats.frontiers.evictions, 0u);
     EXPECT_TRUE(slot_a->ready());
+    EXPECT_EQ(slot_a->pins(), 0u);  // the retired cell let go
   }
 
-  gate.release();
-  const auto outcomes_a = handle_a.wait();
-  ASSERT_EQ(outcomes_a.size(), direct_a.size());
-  for (std::size_t i = 0; i < direct_a.size(); ++i) {
-    expect_identical(outcomes_a[i], direct_a[i]);
+  RunJob job_b;
+  job_b.workload = fx.ids[1];
+  expect_identical(fx.service.submit(job_b).wait(),
+                   reference_systems()[1].run());
+  {
+    const auto stats = fx.service.cache_stats();
+    // B's in-flight cell survived its own geometry publish too, while
+    // A's unpinned artifacts went.
+    EXPECT_EQ(stats.images.evictions, 1u);
+    EXPECT_EQ(stats.frontiers.evictions, 1u);
+    EXPECT_EQ(stats.images.entries, 1u);
+    EXPECT_EQ(stats.frontiers.entries, 1u);
+    EXPECT_FALSE(slot_a->ready());
   }
 }
 

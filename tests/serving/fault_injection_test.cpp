@@ -301,98 +301,6 @@ TEST(FaultInjection, NonOkRecordsAreByteIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(FaultInjection, InjectedThrowInsideABatchFailsJobButSiblingsFinish) {
-  // The whole 12-task grid runs as ONE lockstep batch item. The throw
-  // at boundary 2 must fail only that cell in place: every other cell
-  // still reaches its own boundary (counted below) and runs to
-  // completion, and the first failure is rethrown after the batch --
-  // the same job-level kError the per-engine path produces, with a
-  // byte-identical record at every worker count.
-  std::vector<std::string> records;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    auto plan = std::make_shared<FaultPlan>();
-    plan->seed = 42;
-    plan->throw_in_task = 2;
-    auto boundaries = std::make_shared<std::atomic<std::size_t>>(0);
-    plan->on_boundary = [boundaries](std::size_t) {
-      boundaries->fetch_add(1, std::memory_order_relaxed);
-    };
-    ServiceOptions options;
-    options.workers = workers;
-    options.faults = plan;
-    FaultFixture fx(options);
-
-    JobSpec spec = sweep_spec(fx.id);
-    spec.batch_cells = static_cast<std::uint32_t>(spec.tasks.size());
-    const std::size_t cells = spec.tasks.size();
-    const auto handle = fx.service.submit(std::move(spec));
-    try {
-      (void)handle.wait();
-      FAIL() << "expected the injected failure to rethrow";
-    } catch (const apcc::CheckError& e) {
-      EXPECT_STREQ(e.what(),
-                   "injected fault: task throw at boundary 2 (seed 42)");
-    }
-    // Every sibling cell crossed its own boundary after cell 2 threw.
-    EXPECT_EQ(boundaries->load(), cells);
-
-    wire::ResultRecord record;
-    record.job = 1;
-    record.client = "tier-1";
-    try {
-      (void)handle.wait();
-    } catch (const std::exception& e) {
-      record.status = JobStatus::kError;
-      record.error = e.what();
-    }
-    records.push_back(wire::serialize_result(record));
-
-    // Failure is scoped to the job: the service keeps serving.
-    EXPECT_TRUE(fx.service.submit(run_spec(fx.id)).wait().ok());
-  }
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0], records[1]);
-  EXPECT_EQ(records[0], records[2]);
-}
-
-TEST(FaultInjection, CancelAtBoundaryInsideABatchResolvesCancelled) {
-  // Self-cancel fired from a cell boundary in the middle of a batch:
-  // cells admitted before it finish their lockstep run (cancellation is
-  // only checked at batch boundaries), later cells retire quietly, and
-  // the job resolves kCancelled with an empty payload -- byte-identical
-  // records at every worker count, exactly like the per-engine path.
-  std::vector<std::string> records;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    auto plan = std::make_shared<FaultPlan>();
-    plan->cancel_at_boundary = 2;
-    ServiceOptions options;
-    options.workers = workers;
-    options.faults = plan;
-    FaultFixture fx(options);
-
-    JobSpec spec = sweep_spec(fx.id);
-    spec.batch_cells = 4;  // 12 tasks -> three 4-cell batch items
-    const auto handle = fx.service.submit(std::move(spec));
-    const JobResult& result = handle.wait();
-    EXPECT_EQ(result.status, JobStatus::kCancelled);
-    EXPECT_TRUE(result.sweep.empty());
-
-    wire::ResultRecord record;
-    record.job = 1;
-    record.client = "tier-1";
-    record.status = result.status;
-    record.error = result.error;
-    records.push_back(wire::serialize_result(record));
-
-    EXPECT_TRUE(fx.service.submit(run_spec(fx.id)).wait().ok());
-  }
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0], records[1]);
-  EXPECT_EQ(records[0], records[2]);
-}
-
 TEST(FaultInjection, HandleCancelResolvesQueuedJobImmediately) {
   BoundaryGate gate;
   ServiceOptions options;

@@ -138,55 +138,6 @@ TEST(JobSpec, CampaignMatchesTypedAndDirect) {
   }
 }
 
-TEST(JobSpec, BatchedJobsMatchSequential) {
-  // batch-cells is a scheduling knob only: a sweep or campaign run in
-  // lockstep batches (3 deliberately does not divide the grid) must be
-  // byte-identical to the per-engine sequential reference, through both
-  // the JobSpec front door and the typed veneers.
-  const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
-
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    Fixture fx(workers);
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    auto spec = sweep_spec("crc-like", grid);
-    spec.batch_cells = 3;
-    const auto unified_handle = fx.service.submit(spec);
-    const JobResult& unified = unified_handle.wait();
-    ASSERT_EQ(unified.sweep.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      expect_identical(direct[i], unified.sweep[i]);
-    }
-    const auto typed_handle =
-        fx.service.submit(SweepJob{fx.ids[0], {}, grid, true, 3});
-    const auto& typed = typed_handle.wait();
-    ASSERT_EQ(typed.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      expect_identical(direct[i], typed[i]);
-    }
-
-    auto campaign = campaign_spec({"crc-like", "adpcm-like"}, grid);
-    campaign.batch_cells = 3;
-    const auto batched_handle = fx.service.submit(campaign);
-    const JobResult& batched = batched_handle.wait();
-    auto plain = campaign_spec({"crc-like", "adpcm-like"}, grid);
-    const auto reference_handle = fx.service.submit(plain);
-    const JobResult& reference = reference_handle.wait();
-    ASSERT_EQ(batched.campaign.size(), reference.campaign.size());
-    for (std::size_t w = 0; w < reference.campaign.size(); ++w) {
-      EXPECT_EQ(batched.campaign[w].workload, reference.campaign[w].workload);
-      ASSERT_EQ(batched.campaign[w].outcomes.size(),
-                reference.campaign[w].outcomes.size());
-      for (std::size_t i = 0; i < reference.campaign[w].outcomes.size(); ++i) {
-        expect_identical(reference.campaign[w].outcomes[i],
-                         batched.campaign[w].outcomes[i]);
-      }
-    }
-  }
-}
-
 TEST(JobSpec, MixedPriorityAndBudgetByteIdenticalToFifo) {
   // The acceptance differential: the same four jobs -- a high-priority
   // budgeted run, a batch-class budgeted sweep, a normal campaign, and
@@ -338,14 +289,6 @@ TEST(JobSpec, ValidateRejectsMalformedSpecs) {
     JobSpec bad_kind = run_spec("crc-like");
     bad_kind.kind = static_cast<JobKind>(250);
     EXPECT_THROW({ (void)fx.service.submit(std::move(bad_kind)); },
-                 apcc::CheckError);
-  }
-  {
-    // A run job has exactly one cell; a lockstep batch width has
-    // nothing to apply to and is rejected, not silently ignored.
-    JobSpec batched_run = run_spec("crc-like");
-    batched_run.batch_cells = 4;
-    EXPECT_THROW({ (void)fx.service.submit(std::move(batched_run)); },
                  apcc::CheckError);
   }
 }

@@ -14,20 +14,17 @@
 // emitted event streams are bit-identical across all four, so any
 // divergence in settle order, victim tie-breaking, k-edge bookkeeping,
 // planner request order, or borrowed-vs-owned geometry fails loudly.
-// PR 7 adds the batched axis: BatchEngine steps N cells in lockstep
-// over one trace scan, and every cell must still be bit-identical to
-// its own per-engine run -- at batch sizes {1, 4, 16} (or the single
-// size named by APCC_EQ_BATCH_CELLS, which is how CI gates the batched
-// path at 16 explicitly), with heterogeneous owned/borrowed-geometry
-// cells mixed in one batch.
+// A second test runs each grid cell as a batch of identical cells
+// through sweep::run_sweep, which lends every planning cell one
+// materialized FrontierCache per k, and requires each swept cell to be
+// bit-identical to its own per-engine, owned-geometry run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <tuple>
 #include <vector>
 
-#include "sim/batch_engine.hpp"
 #include "sim/engine.hpp"
+#include "sweep/sweep.hpp"
 #include "workloads/suite.hpp"
 
 namespace apcc::sim {
@@ -181,49 +178,26 @@ TEST_P(EngineEquivalenceTest, IndexedMatchesReferenceBitExactly) {
   expect_same_events(borrowed, fast, "borrowed-geometry vs owned-geometry");
 }
 
-// The batch widths the lockstep test sweeps. APCC_EQ_BATCH_CELLS=N
-// narrows the sweep to one width -- CI's Release job sets 16 so the
-// batched path stays gated even if library defaults change.
-std::vector<std::size_t> batch_widths() {
-  if (const char* env = std::getenv("APCC_EQ_BATCH_CELLS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return {static_cast<std::size_t>(n)};
-  }
-  return {1, 4, 16};
-}
-
 TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
-  // Per-engine references for the two cell flavours the batch mixes:
-  // owned geometry (BatchEngine injects its own materialized frontier
-  // cache) and borrowed campaign geometry (shared_frontiers preset).
+  // Event streams are not observable through a sweep; the indexed vs
+  // borrowed-geometry event comparison above pins those.
   const Capture owned = run(Mode::kIndexed);
-  const Capture borrowed = run(Mode::kBorrowedGeometry);
-
-  for (const std::size_t width : batch_widths()) {
-    SCOPED_TRACE("batch width " + std::to_string(width));
-    std::vector<EngineConfig> configs;
-    configs.reserve(width);
+  for (const std::size_t width : {1, 4, 16}) {
+    SCOPED_TRACE("batch of " + std::to_string(width) + " cells");
+    std::vector<sweep::SweepTask> tasks(width);
     for (std::size_t i = 0; i < width; ++i) {
-      configs.push_back(config_for(
-          GetParam(), i % 2 == 0 ? Mode::kIndexed : Mode::kBorrowedGeometry));
+      tasks[i].label = "cell " + std::to_string(i);
+      tasks[i].config = config_for(GetParam(), Mode::kIndexed);
     }
-    BatchEngine engine(workload().cfg, image(), std::move(configs));
-    std::vector<Capture> cells(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      engine.set_event_sink(i, [&cells, i](const Event& e) {
-        cells[i].events.push_back(e);
-      });
-    }
-    const std::vector<CellOutcome> outcomes = engine.run(workload().trace);
+    sweep::SweepOptions options;
+    options.workers = 2;
+    const std::vector<sweep::SweepOutcome> outcomes = sweep::run_sweep(
+        workload().cfg, image(), workload().trace, tasks, options);
     ASSERT_EQ(outcomes.size(), width);
     for (std::size_t i = 0; i < width; ++i) {
       SCOPED_TRACE("cell " + std::to_string(i));
-      ASSERT_TRUE(outcomes[i].ok());
-      cells[i].result = outcomes[i].result;
-      const Capture& ref = i % 2 == 0 ? owned : borrowed;
-      expect_same_result(ref.result, cells[i].result,
-                         "batched vs per-engine counters");
-      expect_same_events(ref, cells[i], "batched vs per-engine events");
+      expect_same_result(owned.result, outcomes[i].result,
+                         "swept vs per-engine counters");
     }
   }
 }

@@ -1,5 +1,6 @@
 // Campaign tests: the suite x grid runner must be byte-identical to
-// running each workload's grid sequentially through run_sweep -- for
+// running each workload's grid sequentially, one owned-geometry Engine
+// per task -- for
 // any worker count, with shared (borrowed, materialized) FrontierCache
 // geometry on and off -- and its per-workload grouping, error and
 // geometry plumbing must behave.
@@ -113,13 +114,16 @@ TEST(Campaign, ParallelCampaignIdenticalToSequentialPerWorkloadGrids) {
   const auto workloads = campaign_workloads();
   const auto grid = shared_grid();
 
-  // The reference: each workload's grid run sequentially through the
-  // single-workload runner, geometry owned per engine.
+  // The reference: each workload's grid run sequentially, one Engine
+  // per task, geometry owned per engine.
   std::vector<std::vector<SweepOutcome>> expected;
-  SweepOptions sequential;
-  sequential.workers = 1;
   for (const auto& w : workloads) {
-    expected.push_back(run_sweep(*w.cfg, *w.image, *w.trace, grid, sequential));
+    std::vector<SweepOutcome> outcomes;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      sim::Engine engine(*w.cfg, *w.image, grid[i].config);
+      outcomes.push_back(SweepOutcome{i, grid[i].label, engine.run(*w.trace)});
+    }
+    expected.push_back(std::move(outcomes));
   }
 
   for (const bool share : {false, true}) {
@@ -137,45 +141,6 @@ TEST(Campaign, ParallelCampaignIdenticalToSequentialPerWorkloadGrids) {
         ASSERT_EQ(results[w].outcomes.size(), expected[w].size());
         for (std::size_t i = 0; i < expected[w].size(); ++i) {
           expect_identical(expected[w][i], results[w].outcomes[i]);
-        }
-      }
-    }
-  }
-}
-
-TEST(Campaign, BatchedIdenticalToSequential) {
-  // Batches never span workloads, so a 12-task grid at batch 8 gives
-  // each workload an 8 + 4 chunking; results must stay byte-identical
-  // to the per-engine sequential reference for every (batch, workers,
-  // share_frontiers) combination.
-  const auto workloads = campaign_workloads();
-  const auto grid = shared_grid();
-  std::vector<std::vector<SweepOutcome>> expected;
-  SweepOptions sequential;
-  sequential.workers = 1;
-  for (const auto& w : workloads) {
-    expected.push_back(run_sweep(*w.cfg, *w.image, *w.trace, grid, sequential));
-  }
-
-  for (const bool share : {false, true}) {
-    for (const std::uint32_t batch : {4u, 8u}) {
-      for (const unsigned workers : {1u, 2u, 4u}) {
-        CampaignOptions options;
-        options.workers = workers;
-        options.share_frontiers = share;
-        options.batch_cells = batch;
-        const auto results = run_campaign(workloads, grid, options);
-        ASSERT_EQ(results.size(), workloads.size());
-        for (std::size_t w = 0; w < results.size(); ++w) {
-          SCOPED_TRACE(results[w].workload + " @ batch " +
-                       std::to_string(batch) + " x " +
-                       std::to_string(workers) +
-                       " workers, share=" + std::to_string(share));
-          EXPECT_EQ(results[w].workload, workloads[w].name);
-          ASSERT_EQ(results[w].outcomes.size(), expected[w].size());
-          for (std::size_t i = 0; i < expected[w].size(); ++i) {
-            expect_identical(expected[w][i], results[w].outcomes[i]);
-          }
         }
       }
     }

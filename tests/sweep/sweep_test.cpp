@@ -91,63 +91,29 @@ void expect_identical(const SweepOutcome& a, const SweepOutcome& b) {
 }
 
 TEST(Sweep, ParallelIdenticalToSequential) {
+  // The reference owns its geometry: one Engine per task with no shared
+  // frontiers. run_sweep borrows one materialized cache per k at every
+  // worker count, and must reproduce the reference byte for byte.
   const auto tasks = mixed_grid();
-  SweepOptions sequential;
-  sequential.workers = 1;
-  const auto expected = system_under_test().run_sweep(tasks, sequential);
-  ASSERT_EQ(expected.size(), tasks.size());
+  const auto& system = system_under_test();
+  std::vector<SweepOutcome> expected;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    sim::EngineConfig config = tasks[i].config;
+    config.shared_frontiers = nullptr;
+    sim::Engine engine(system.cfg(), system.image(), config);
+    expected.push_back(
+        SweepOutcome{i, tasks[i].label, engine.run(system.default_trace())});
+  }
 
-  for (const unsigned workers : {2u, 4u, 8u}) {
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
     SweepOptions options;
     options.workers = workers;
-    const auto got = system_under_test().run_sweep(tasks, options);
-    ASSERT_EQ(got.size(), expected.size()) << workers << " workers";
+    const auto got = system.run_sweep(tasks, options);
+    ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_identical(expected[i], got[i]);
     }
-  }
-}
-
-TEST(Sweep, BatchedIdenticalToSequential) {
-  // Lockstep batching is a scheduling-granularity knob, never a results
-  // knob: every (batch width, worker count) combination must reproduce
-  // the sequential per-engine sweep byte-for-byte. 36 tasks with batch
-  // 16 also exercises the non-dividing tail chunk (16 + 16 + 4).
-  const auto tasks = mixed_grid();
-  SweepOptions sequential;
-  sequential.workers = 1;
-  const auto expected = system_under_test().run_sweep(tasks, sequential);
-  ASSERT_EQ(expected.size(), tasks.size());
-
-  for (const std::uint32_t batch : {1u, 4u, 16u}) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      SCOPED_TRACE("batch " + std::to_string(batch) + " x " +
-                   std::to_string(workers) + " workers");
-      SweepOptions options;
-      options.workers = workers;
-      options.batch_cells = batch;
-      const auto got = system_under_test().run_sweep(tasks, options);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        expect_identical(expected[i], got[i]);
-      }
-    }
-  }
-}
-
-TEST(Sweep, BatchWiderThanGridIsOneChunk) {
-  auto tasks = mixed_grid();
-  tasks.resize(5);
-  SweepOptions sequential;
-  sequential.workers = 1;
-  const auto expected = system_under_test().run_sweep(tasks, sequential);
-  SweepOptions options;
-  options.workers = 4;
-  options.batch_cells = 64;
-  const auto got = system_under_test().run_sweep(tasks, options);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    expect_identical(expected[i], got[i]);
   }
 }
 

@@ -54,7 +54,7 @@
 // batch / serve job records are the versioned wire format -- see
 // docs/API.md for the full grammar. The minimal job is:
 //
-//   apcc.job v4
+//   apcc.job v5
 //   kind run
 //   workload gsm-like
 //   end
@@ -83,9 +83,6 @@
 //                     never change, only when artifacts are rebuilt
 //   --cache-budget-image-bytes N    per-kind image ceiling
 //   --cache-budget-frontier-bytes N per-kind geometry ceiling
-//   --batch-cells N   sweep/campaign: grid cells stepped in lockstep per
-//                     pool work item (0 = one engine per cell; results
-//                     are byte-identical either way)
 //   --max-queued N    serve: admission bound -- at most N jobs in flight,
 //                     over-limit submissions get `status rejected` records
 //   --max-queued-per-client N  serve: the same bound per client tag
@@ -176,13 +173,12 @@ constexpr const char* kToolVersion = "0.6.0";
       "\n"
       "batch files and the serve stdin stream hold wire format job\n"
       "records (docs/API.md):\n"
-      "  apcc.job v4\n"
+      "  apcc.job v5\n"
       "  kind run|sweep|campaign\n"
       "  workload <name-or-path>      (repeatable for campaign)\n"
       "  priority high|normal|batch   (optional QoS)\n"
       "  max-workers N                (optional worker budget)\n"
       "  deadline-ms N                (optional per-job deadline)\n"
-      "  batch-cells N                (optional lockstep batch width)\n"
       "  grid strategy-k              (or explicit task lines)\n"
       "  end\n"
       "\n"
@@ -192,7 +188,7 @@ constexpr const char* kToolVersion = "0.6.0";
       "         --client-weight TAG=W --no-fair-share\n"
       "         --cache-budget-bytes N --cache-budget-image-bytes N\n"
       "         --cache-budget-frontier-bytes N\n"
-      "         --batch-cells N --no-shared-frontiers --csv --wire\n"
+      "         --no-shared-frontiers --csv --wire\n"
       "(sweep and campaign grid over strategy and k themselves:\n"
       " --strategy/--kc/--kd there is a usage error; batch and serve\n"
       " take per-job configuration from the job records; --max-queued,\n"
@@ -277,11 +273,6 @@ struct CliOptions {
   /// priority class (--no-fair-share, the differential reference).
   bool fair_share = true;
   bool share_frontiers = true;
-  /// Lockstep batch width for grid commands (sweep/campaign); 0 keeps
-  /// the historical one-engine-per-cell path. Run-kind commands reject
-  /// it (a run job has a single cell), and batch/serve take it from
-  /// the job records like every other per-job knob.
-  std::uint32_t batch_cells = 0;
   bool csv = false;
   bool wire = false;
   /// Which of --strategy/--kc/--kd appeared: grid commands (sweep,
@@ -363,10 +354,6 @@ CliOptions parse_options(const std::vector<std::string>& args,
           static_cast<unsigned>(weight);
     } else if (a == "--no-fair-share") {
       opts.fair_share = false;
-    } else if (a == "--batch-cells") {
-      opts.batch_cells =
-          static_cast<std::uint32_t>(parse_int(need_value(i++)));
-      opts.config_flags.push_back(a);
     } else if (a == "--no-shared-frontiers") {
       opts.share_frontiers = false;
     } else if (a == "--csv") {
@@ -402,14 +389,6 @@ void reject_max_queued(const std::string& command, const CliOptions& opts) {
   if (flag.empty()) return;
   usage("'" + command + "' submits a fixed set of jobs; " + flag +
         " is only meaningful for 'serve'");
-}
-
-/// Run-kind commands (sim, suite) submit single-cell run jobs, where a
-/// lockstep batch width has nothing to apply to.
-void reject_batch_cells(const std::string& command, const CliOptions& opts) {
-  if (opts.batch_cells == 0) return;
-  usage("'" + command + "' runs single-configuration jobs; --batch-cells "
-        "only applies to the sweep/campaign grids");
 }
 
 /// Grid commands own the strategy/k axes; reject attempts to pin them.
@@ -579,7 +558,6 @@ serving::ServiceOptions service_options(const CliOptions& opts) {
 int cmd_sim(const std::string& spec, const CliOptions& opts) {
   reject_wire_flag("sim", opts);
   reject_max_queued("sim", opts);
-  reject_batch_cells("sim", opts);
   serving::Service service(service_options(opts));
   WorkloadDirectory directory(service);
   const auto id = directory.id_for(spec);
@@ -599,7 +577,7 @@ int cmd_sweep(const std::string& spec, const CliOptions& opts) {
   serving::SweepJob job{
       id, opts.config,
       serving::strategy_k_grid(core::engine_config(opts.config)),
-      opts.share_frontiers, opts.batch_cells};
+      opts.share_frontiers};
   const auto handle = service.submit(std::move(job));
   print_sweep(handle.wait(), opts.csv);
   return 0;
@@ -608,7 +586,6 @@ int cmd_sweep(const std::string& spec, const CliOptions& opts) {
 int cmd_suite(const CliOptions& opts) {
   reject_wire_flag("suite", opts);
   reject_max_queued("suite", opts);
-  reject_batch_cells("suite", opts);
   serving::Service service(service_options(opts));
   WorkloadDirectory directory(service);
   // Submit every workload's run job before waiting on any: the whole
@@ -642,7 +619,6 @@ int cmd_campaign(const CliOptions& opts) {
   job.config = opts.config;
   job.grid = serving::strategy_k_grid(core::engine_config(opts.config));
   job.share_frontiers = opts.share_frontiers;
-  job.batch_cells = opts.batch_cells;
   const auto handle = service.submit(std::move(job));
   print_campaign(handle.wait(), opts.csv);
   return 0;
@@ -702,7 +678,8 @@ int cmd_batch(const std::string& path, const CliOptions& global) {
     wire_usage(path, e);
   }
   if (parsed.empty()) {
-    usage(path + ": no job records (expected 'apcc.job v4' ... 'end')");
+    usage(path + ": no job records (expected '" + serving::wire::kJobHeader +
+          "' ... 'end')");
   }
 
   // Phase 2: register workloads (input errors exit 2 here, still

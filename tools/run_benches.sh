@@ -7,18 +7,17 @@
 #   BENCH_engine.json   -- E11 engine hot-path throughput (steps/sec)
 #   BENCH_codecs.json   -- E4 codec + huffman decoder throughput
 #   BENCH_sweep.json    -- sharded policy-grid sweep scaling (grid pts/sec
-#                          at 1/2/4/8 workers) + lockstep batch series
-#                          (cells-stepped/sec at batch 1..16, incl. the
-#                          wide-CFG regime where batching wins)
+#                          at 1/2/4/8 workers) + the one-worker wide-CFG
+#                          series (cells/sec where run_sweep's shared
+#                          planner geometry is a large share of a cell)
 #   BENCH_campaign.json -- suite x grid campaign throughput (matrix
 #                          cells/sec, shared vs owned FrontierCache
 #                          geometry)
 #   BENCH_service.json  -- serving::Service submit latency (direct
-#                          one-shot vs cold vs warm artifact cache,
-#                          per-engine vs batched warm sweeps) + the
-#                          cache-budget thrash series (warm sweeps at
-#                          25/50/100% of the working set, eviction
-#                          counters included)
+#                          one-shot vs cold vs warm artifact cache, warm
+#                          sweeps) + the cache-budget thrash series (a
+#                          seeded Zipf job stream at 25/50/100% of the
+#                          working set, per-pass eviction counters)
 #   BENCH_serve.json    -- TCP front-door sustained jobs/sec plus
 #                          p50/p99 latency counters under mixed-tenant
 #                          QoS (weighted fair share within the normal
@@ -89,10 +88,20 @@ done
 echo "== sweep scaling -> ${OUT_DIR}/BENCH_sweep.json"
 "${BUILD_DIR}/bench_sweep_scaling" \
     ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_sweep_(grid|batch)' \
+    --benchmark_filter='bm_sweep_(grid|widecfg)' \
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_sweep.json" \
     --benchmark_out_format=json
+
+# Both sweep series must be in the artifact: the worker-scaling rows and
+# the one-worker wide-CFG row.
+for needle in '"label": "1-worker"' '"label": "wide-cfg 1-worker"'; do
+  if ! grep -q "${needle}" "${OUT_DIR}/BENCH_sweep.json"; then
+    echo "error: BENCH_sweep.json is missing ${needle}" >&2
+    echo "       (bm_sweep_grid and bm_sweep_widecfg should both run)" >&2
+    exit 1
+  fi
+done
 
 echo "== campaign throughput -> ${OUT_DIR}/BENCH_campaign.json"
 "${BUILD_DIR}/bench_campaign" \
@@ -112,12 +121,24 @@ echo "== service submit latency -> ${OUT_DIR}/BENCH_service.json"
 
 # The thrash series must carry its eviction counters -- that is the CI
 # proof the cache-budget machinery ran, not just that the bench binary
-# linked. A missing counter means the series silently degraded.
-if ! grep -q '"evictions"' "${OUT_DIR}/BENCH_service.json"; then
-  echo "error: BENCH_service.json has no eviction counters" >&2
-  echo "       (bm_service_thrash should emit them per run)" >&2
-  exit 1
-fi
+# linked -- and the 25% and 50% budgets must evict differently: a curve
+# that is flat across budgets means the series cannot resolve them.
+python3 - "${OUT_DIR}/BENCH_service.json" <<'PY'
+import json, sys
+runs = json.load(open(sys.argv[1]))["benchmarks"]
+def evictions(budget):
+    prefix = "bm_service_thrash/%d" % budget
+    for r in runs:
+        name = r["name"]
+        if (name == prefix or name.startswith(prefix + "/")) and \
+                "evictions" in r:
+            return r["evictions"]
+    sys.exit("error: BENCH_service.json has no eviction counter for " + prefix)
+quarter, half = evictions(25), evictions(50)
+if quarter == half:
+    sys.exit("error: bm_service_thrash evicts %s per pass at both 25%% and "
+             "50%% budgets; the series does not resolve them" % quarter)
+PY
 
 echo "== TCP serve mixed-QoS -> ${OUT_DIR}/BENCH_serve.json"
 "${BUILD_DIR}/bench_serve" \
