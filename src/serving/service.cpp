@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -20,57 +21,29 @@ namespace {
 /// job. Never escapes service.cpp.
 struct JobCancelled {};
 
-}  // namespace
+/// RAII record of one grid cell's borrowed artifacts. Every borrow
+/// (and every publish -- the builder borrows what it built) pins the
+/// artifact's slot; the lease unpins at destruction, after the cell's
+/// engine run. While a lease is live its artifacts are never eviction
+/// victims, so engines hold plain references with no locking. Only
+/// slot-level locks here (never Service::mutex_): the newly unpinned
+/// artifact stays resident until the next publish re-evaluates the
+/// budget -- eviction is publish-driven.
+struct CellLease {
+  runtime::ArtifactSlotBase* image = nullptr;
+  runtime::ArtifactSlotBase* frontier = nullptr;
 
-/// Claim-build / wait handshake around one (workload, codec) compressed
-/// image. Same shape as runtime::SharedFrontier: the first cell that
-/// needs the artifact builds it on its own (pool) thread off the slot
-/// lock; concurrent cells block on the cv; afterwards the image is
-/// immutable and borrowed without locks. A builder that throws -- or
-/// observes its job's cancellation -- rolls the claim back to kIdle so
-/// waiters re-claim instead of deadlocking. Eviction reuses the same
-/// state machine: a ready, unpinned slot drops its image and returns
-/// to kIdle, so the next claim rebuilds it bit-identically (an
-/// ordinary miss -- failed_before stays untouched).
-struct Service::ImageSlot {
-  enum class State : std::uint8_t { kIdle, kBuilding, kReady };
-
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  State state = State::kIdle;
-  /// The last claim of this slot rolled back (build failure or builder
-  /// cancellation); the next claim counts as a cache *rebuild*.
-  bool failed_before = false;
-  /// Borrow refcount: every borrow (and the builder's own publish)
-  /// pins, the cell's CellLease unpins at retirement; the eviction
-  /// pass never selects a pinned slot. Guarded by `mutex`.
-  std::size_t pins = 0;
-  std::unique_ptr<const runtime::BlockImage> image;
-
-  // -- eviction ledger, guarded by Service::mutex_, NOT by `mutex` ----
-  std::uint64_t bytes = 0;         // resident bytes (0 = not resident)
-  std::uint64_t rebuild_cost = 0;  // estimate_image_cost at publish
-  std::uint64_t last_use = 0;      // cache_clock_ at last borrow/publish
+  CellLease() = default;
+  CellLease(const CellLease&) = delete;
+  CellLease& operator=(const CellLease&) = delete;
+  ~CellLease() {
+    for (runtime::ArtifactSlotBase* held : {image, frontier}) {
+      if (held != nullptr) held->unpin();
+    }
+  }
 };
 
-Service::CellLease::~CellLease() { release(); }
-
-void Service::CellLease::release() {
-  // Only slot-level locks here (never Service::mutex_): release runs on
-  // pool threads at cell retirement and must not contend with the
-  // registry. The newly unpinned artifact stays resident until the next
-  // publish re-evaluates the budget -- eviction is publish-driven.
-  if (image_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(image_->mutex);
-    APCC_CHECK(image_->pins > 0, "image lease released without a pin");
-    --image_->pins;
-    image_ = nullptr;
-  }
-  if (frontier_ != nullptr) {
-    frontier_->unpin();
-    frontier_ = nullptr;
-  }
-}
+}  // namespace
 
 /// One registered workload plus its image artifacts. The workload lives
 /// behind a unique_ptr so its Cfg / trace / bytes keep stable addresses
@@ -167,54 +140,67 @@ bool Service::task_boundary(detail::JobState& state) {
   return true;
 }
 
-const runtime::BlockImage& Service::image_for(
-    Registered& entry, const core::SystemConfig& config,
-    const sweep::CancelToken* token, CellLease& lease) {
-  ImageSlot* slot = nullptr;
+template <typename Key, typename T, typename Build>
+const T& Service::resolve_artifact(
+    std::map<Key, std::unique_ptr<runtime::ArtifactSlot<T>>>& slots,
+    const Key& key, ArtifactStats& stats, std::uint64_t rebuild_cost,
+    const sweep::CancelToken* token, runtime::ArtifactSlotBase*& held,
+    Build&& build) {
+  runtime::ArtifactSlot<T>* slot = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& owned = entry.images[config.codec];
-    if (!owned) owned = std::make_unique<ImageSlot>();
+    auto& owned = slots[key];
+    if (!owned) owned = std::make_unique<runtime::ArtifactSlot<T>>();
     slot = owned.get();
   }
-
-  std::unique_lock<std::mutex> slot_lock(slot->mutex);
-  for (;;) {
-    // A cancelled job stops resolving artifacts -- before claiming, and
-    // before every re-claim attempt after a rolled-back build.
+  // A cancelled job stops resolving artifacts: at the claim, at every
+  // re-claim after a rolled-back build, and at the start of its own
+  // build (a cancelled builder rolls back, so waiters re-claim).
+  const auto poll = [token] {
     if (token && token->cancelled()) throw JobCancelled{};
-    if (slot->state == ImageSlot::State::kReady) {
-      // Pin before the slot lock drops: ready-check and pin are one
-      // atomic step, so the eviction pass can never reclaim the image
-      // between our check and our borrow.
-      ++slot->pins;
-      lease.image_ = slot;
-      const runtime::BlockImage& image = *slot->image;
-      slot_lock.unlock();
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.images.borrows;
-      ++stats_.images.hits;
-      slot->last_use = ++cache_clock_;
-      return image;
-    }
-    if (slot->state == ImageSlot::State::kIdle) {
-      const bool rebuild = slot->failed_before;
-      slot->state = ImageSlot::State::kBuilding;
-      slot_lock.unlock();
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.images.misses;
-        if (rebuild) ++stats_.images.rebuilds;
-      }
-      // Build off the lock: exactly what from_workload does -- train
-      // the codec on a copy of the block bytes, then freeze the image
-      // -- so a cached image is byte-identical to a per-call one (and a
-      // rebuilt-after-eviction image byte-identical to the first).
-      const workloads::Workload& w = *entry.workload;
-      std::unique_ptr<const runtime::BlockImage> image;
-      std::uint64_t original_bytes = 0;
-      try {
-        if (token && token->cancelled()) throw JobCancelled{};
+  };
+  // pin=true: the borrow (or the builder's own publish) is pinned
+  // before the slot lock drops, and handed to the cell's lease.
+  const auto acquired = slot->acquire(
+      poll,
+      [&](bool rebuild) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex_);
+          ++stats.misses;
+          if (rebuild) ++stats.rebuilds;
+        }
+        poll();
+        return build();
+      },
+      /*pin=*/true);
+  held = slot;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  slot->last_use = ++cache_clock_;
+  if (!acquired.built) {
+    ++stats.borrows;
+    ++stats.hits;
+    return *acquired.artifact;
+  }
+  const std::uint64_t resident = acquired.artifact->approx_bytes();
+  ++stats.built;
+  stats.bytes += resident;
+  slot->bytes = resident;
+  slot->rebuild_cost = rebuild_cost;
+  ++publish_count_;
+  evict_over_budget_locked();
+  return *acquired.artifact;
+}
+
+sim::RunResult Service::run_cell(Registered& entry, const JobSpec& spec,
+                                 sim::EngineConfig config,
+                                 const sweep::CancelToken* token) {
+  const workloads::Workload& w = *entry.workload;
+  CellLease lease;
+  std::uint64_t original_bytes = 0;
+  for (const compress::Bytes& b : w.block_bytes) original_bytes += b.size();
+  const runtime::BlockImage& image = resolve_artifact(
+      entry.images, spec.config.codec, stats_.images,
+      estimate_image_cost(original_bytes), token, lease.image, [&] {
         if (faults_) {
           const std::size_t n =
               fault_builds_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -225,118 +211,28 @@ const runtime::BlockImage& Service::image_for(
                              std::to_string(faults_->seed) + ")");
           }
         }
+        // Exactly what from_workload does -- train the codec on a copy
+        // of the block bytes, then freeze the image -- so a cached
+        // image is byte-identical to a per-call one (and a rebuilt-
+        // after-eviction image byte-identical to the first).
         std::vector<compress::Bytes> bytes = w.block_bytes;
-        for (const compress::Bytes& b : bytes) original_bytes += b.size();
-        auto codec = compress::make_codec(config.codec, bytes);
-        image = std::make_unique<const runtime::BlockImage>(
+        auto codec = compress::make_codec(spec.config.codec, bytes);
+        return std::make_unique<const runtime::BlockImage>(
             w.cfg, std::move(bytes), std::move(codec));
-      } catch (...) {
-        // Roll the claim back and wake waiters so they re-claim (and
-        // hit the build failure themselves, or build it afresh after a
-        // cancelled builder) rather than deadlock on a ready flip that
-        // will never come.
-        slot_lock.lock();
-        slot->state = ImageSlot::State::kIdle;
-        slot->failed_before = true;
-        slot->ready_cv.notify_all();
-        throw;
-      }
-      slot_lock.lock();
-      slot->image = std::move(image);
-      slot->state = ImageSlot::State::kReady;
-      slot->failed_before = false;
-      // The builder borrows what it just built -- pinned before anyone
-      // can observe the ready flip, so the publish-time eviction pass
-      // below (or a concurrent one) can never reclaim the image out
-      // from under this cell.
-      ++slot->pins;
-      lease.image_ = slot;
-      const runtime::BlockImage& built = *slot->image;
-      const std::uint64_t resident = built.approx_bytes();
-      slot->ready_cv.notify_all();
-      slot_lock.unlock();
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.images.built;
-      stats_.images.bytes += resident;
-      slot->bytes = resident;
-      slot->rebuild_cost = estimate_image_cost(original_bytes);
-      slot->last_use = ++cache_clock_;
-      ++publish_count_;
-      evict_over_budget_locked();
-      return built;
-    }
-    slot->ready_cv.wait(slot_lock, [&] {
-      return slot->state != ImageSlot::State::kBuilding;
-    });
+      });
+  if (spec.share_frontiers) {
+    const unsigned k = config.policy.predecompress_k;
+    config.shared_frontiers = &resolve_artifact(
+        frontiers_, runtime::FrontierKey{&w.cfg, k}, stats_.frontiers,
+        estimate_frontier_cost(w.cfg.block_count(), k), token,
+        lease.frontier, [&] {
+          auto cache = std::make_unique<runtime::FrontierCache>(w.cfg, k);
+          cache->materialize();
+          return cache;
+        });
   }
-}
-
-const runtime::FrontierCache* Service::frontiers_for(
-    Registered& entry, unsigned k, const sweep::CancelToken* token,
-    CellLease& lease) {
-  if (token && token->cancelled()) throw JobCancelled{};
-  const runtime::FrontierKey key{&entry.workload->cfg, k};
-  runtime::SharedFrontier* slot = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    FrontierLedger& ledger = frontiers_[key];
-    if (!ledger.shared) {
-      ledger.shared =
-          std::make_unique<runtime::SharedFrontier>(entry.workload->cfg, k);
-    }
-    slot = ledger.shared.get();
-  }
-  bool built = false;
-  const runtime::FrontierCache* cache = nullptr;
-  try {
-    // pin=true: the ready-check (or the builder's own ready flip) and
-    // the pin happen under one slot-lock hold, so an eviction pass can
-    // never slip between them. The pin is handed to the lease below.
-    cache = slot->acquire(&built, /*pin=*/true);
-  } catch (...) {
-    // This caller claimed the build and it threw (SharedFrontier rolled
-    // its own claim back): a miss, and a rebuild if the key had failed
-    // before.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.frontiers.misses;
-    if (!frontier_failed_.insert(key).second) ++stats_.frontiers.rebuilds;
-    throw;
-  }
-  lease.frontier_ = slot;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    FrontierLedger& ledger = frontiers_.find(key)->second;
-    ledger.last_use = ++cache_clock_;
-    if (built) {
-      ++stats_.frontiers.built;
-      ++stats_.frontiers.misses;
-      const std::uint64_t resident = cache->approx_bytes();
-      stats_.frontiers.bytes += resident;
-      ledger.bytes = resident;
-      ledger.rebuild_cost =
-          estimate_frontier_cost(entry.workload->cfg.block_count(), k);
-      if (frontier_failed_.erase(key) != 0) ++stats_.frontiers.rebuilds;
-      ++publish_count_;
-      evict_over_budget_locked();
-    } else {
-      ++stats_.frontiers.borrows;
-      ++stats_.frontiers.hits;
-    }
-  }
-  return cache;
-}
-
-sim::EngineConfig Service::cell_config(Registered& entry,
-                                       const sim::EngineConfig& base,
-                                       bool share_frontiers,
-                                       const sweep::CancelToken* token,
-                                       CellLease& lease) {
-  sim::EngineConfig config = base;
-  if (share_frontiers) {
-    config.shared_frontiers =
-        frontiers_for(entry, config.policy.predecompress_k, token, lease);
-  }
-  return config;
+  sim::Engine engine(w.cfg, image, config);
+  return engine.run(w.trace);
 }
 
 void Service::evict_over_budget_locked() {
@@ -349,91 +245,62 @@ void Service::evict_over_budget_locked() {
   // read under each slot's lock (mutex_ -> slot order); a borrow that
   // lands after the snapshot is caught by the apply-time re-check.
   struct Resident {
-    ImageSlot* image = nullptr;        // exactly one of image /
-    FrontierLedger* frontier = nullptr;  // frontier is set
+    runtime::ArtifactSlotBase* slot = nullptr;
+    ArtifactStats* stats = nullptr;  // the slot's kind
     CacheEntry entry;
   };
   std::vector<Resident> residents;
   std::vector<std::size_t> image_indices;
   std::vector<std::size_t> frontier_indices;
+  const auto snapshot = [&](runtime::ArtifactSlotBase& slot,
+                            ArtifactStats& stats,
+                            std::vector<std::size_t>& indices) {
+    if (slot.bytes == 0) return;  // never published, or evicted
+    indices.push_back(residents.size());
+    residents.push_back({&slot, &stats,
+                         CacheEntry{slot.bytes, slot.rebuild_cost,
+                                    slot.last_use, slot.pins() != 0}});
+  };
   for (const auto& registered : registry_) {
     for (const auto& [codec, slot] : registered->images) {
-      if (slot->bytes == 0) continue;  // never published, or evicted
-      bool pinned = false;
-      {
-        const std::lock_guard<std::mutex> slot_lock(slot->mutex);
-        pinned = slot->pins != 0;
-      }
-      image_indices.push_back(residents.size());
-      residents.push_back(
-          {slot.get(), nullptr,
-           CacheEntry{slot->bytes, slot->rebuild_cost, slot->last_use,
-                      pinned}});
+      snapshot(*slot, stats_.images, image_indices);
     }
   }
-  for (auto& [key, ledger] : frontiers_) {
-    if (ledger.bytes == 0) continue;
-    frontier_indices.push_back(residents.size());
-    residents.push_back(
-        {nullptr, &ledger,
-         CacheEntry{ledger.bytes, ledger.rebuild_cost, ledger.last_use,
-                    ledger.shared->pins() != 0}});
+  for (const auto& [key, slot] : frontiers_) {
+    snapshot(*slot, stats_.frontiers, frontier_indices);
   }
-
-  // Evict one victim; the apply-time ready/pinned re-check under the
-  // slot's own lock is authoritative (a racing borrow exempts the
-  // artifact this pass). On success, zero the snapshot bytes so later
-  // passes see the post-eviction resident set; on failure, mark the
-  // snapshot pinned so they stop retrying it.
-  const auto apply = [this](Resident& r) {
-    std::uint64_t freed = 0;
-    if (r.image != nullptr) {
-      {
-        const std::lock_guard<std::mutex> slot_lock(r.image->mutex);
-        if (r.image->state != ImageSlot::State::kReady ||
-            r.image->pins != 0) {
-          r.entry.pinned = true;
-          return;
-        }
-        r.image->image.reset();
-        r.image->state = ImageSlot::State::kIdle;
-      }
-      freed = r.image->bytes;
-      r.image->bytes = 0;
-      ++stats_.images.evictions;
-      stats_.images.evicted_bytes += freed;
-      stats_.images.bytes -= freed;
-    } else {
-      if (!r.frontier->shared->evict()) {
-        r.entry.pinned = true;
-        return;
-      }
-      freed = r.frontier->bytes;
-      r.frontier->bytes = 0;
-      ++stats_.frontiers.evictions;
-      stats_.frontiers.evicted_bytes += freed;
-      stats_.frontiers.bytes -= freed;
-    }
-    r.entry.bytes = 0;
-  };
 
   const auto run_pass = [&](const std::vector<std::size_t>& subset,
                             std::uint64_t budget) {
     std::vector<CacheEntry> view;
     view.reserve(subset.size());
     for (const std::size_t idx : subset) view.push_back(residents[idx].entry);
+    // The apply-time ready/pinned re-check under the slot's own lock is
+    // authoritative (a racing borrow exempts the artifact this pass).
+    // On success, zero the snapshot bytes so later passes see the
+    // post-eviction resident set; on failure, mark the snapshot pinned
+    // so they stop retrying it.
     for (const std::size_t victim :
          plan_evictions(view, budget, cache_clock_)) {
-      apply(residents[subset[victim]]);
+      Resident& r = residents[subset[victim]];
+      if (!r.slot->evict()) {
+        r.entry.pinned = true;
+        continue;
+      }
+      ++r.stats->evictions;
+      r.stats->evicted_bytes += r.slot->bytes;
+      r.stats->bytes -= r.slot->bytes;
+      r.slot->bytes = 0;
+      r.entry.bytes = 0;
     }
   };
 
+  std::vector<std::size_t> all(residents.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   if (forced) {
     // The fault plan's flush: every unpinned resident artifact goes,
     // whatever the configured budget -- budget 0 to the pure policy
     // means exactly that.
-    std::vector<std::size_t> all(residents.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
     run_pass(all, 0);
     return;
   }
@@ -441,11 +308,7 @@ void Service::evict_over_budget_locked() {
   if (budget_.frontier_bytes != 0) {
     run_pass(frontier_indices, budget_.frontier_bytes);
   }
-  if (budget_.total_bytes != 0) {
-    std::vector<std::size_t> all(residents.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    run_pass(all, budget_.total_bytes);
-  }
+  if (budget_.total_bytes != 0) run_pass(all, budget_.total_bytes);
 }
 
 JobHandle<JobResult> Service::submit(JobSpec spec) {
@@ -534,17 +397,9 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
     item = [this, ctx, state](std::size_t) {
       if (!task_boundary(*state)) return;
       try {
-        Registered& target = *ctx->entries[0];
-        // The lease pins the cell's borrows until scope exit -- after
-        // the engine run, so eviction never races a live engine.
-        CellLease lease;
-        const runtime::BlockImage& image =
-            image_for(target, ctx->spec.config, state->token.get(), lease);
-        const sim::EngineConfig config = cell_config(
-            target, core::engine_config(ctx->spec.config),
-            ctx->spec.share_frontiers, state->token.get(), lease);
-        sim::Engine engine(target.workload->cfg, image, config);
-        sim::RunResult result = engine.run(target.workload->trace);
+        sim::RunResult result =
+            run_cell(*ctx->entries[0], ctx->spec,
+                     core::engine_config(ctx->spec.config), state->token.get());
         const std::lock_guard<std::mutex> lock(state->mutex);
         state->value.run = std::move(result);
       } catch (const JobCancelled&) {
@@ -564,17 +419,11 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
       try {
         const std::size_t w = i / grid_size;
         const std::size_t t = i % grid_size;
-        Registered& target = *ctx->entries[w];
-        CellLease lease;  // pins the cell's borrows past the run
-        const runtime::BlockImage& image =
-            image_for(target, ctx->spec.config, state->token.get(), lease);
         const sweep::SweepTask& task = ctx->spec.tasks[t];
-        const sim::EngineConfig config =
-            cell_config(target, task.config, ctx->spec.share_frontiers,
-                        state->token.get(), lease);
-        sim::Engine engine(target.workload->cfg, image, config);
         ctx->sinks[w].push(sweep::SweepOutcome{
-            t, task.label, engine.run(target.workload->trace)});
+            t, task.label,
+            run_cell(*ctx->entries[w], ctx->spec, task.config,
+                     state->token.get())});
       } catch (const JobCancelled&) {
       }
     };
@@ -736,26 +585,25 @@ Service::CacheStats Service::cache_stats() const {
   // above survive artifact eviction, these reflect what eviction left.
   for (const auto& entry : registry_) {
     for (const auto& [codec, slot] : entry->images) {
-      const std::lock_guard<std::mutex> slot_lock(slot->mutex);
-      if (slot->image) ++stats.images.entries;
+      if (slot->ready()) ++stats.images.entries;
     }
   }
-  for (const auto& [key, ledger] : frontiers_) {
-    if (ledger.shared->ready()) ++stats.frontiers.entries;
+  for (const auto& [key, slot] : frontiers_) {
+    if (slot->ready()) ++stats.frontiers.entries;
   }
   return stats;
 }
 
 unsigned Service::workers() const { return pool_->workers(); }
 
-const runtime::SharedFrontier* Service::frontier_slot(
+const Service::FrontierSlot* Service::frontier_slot(
     WorkloadId id, unsigned predecompress_k) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   APCC_CHECK(id < registry_.size(), "unknown workload id");
   const runtime::FrontierKey key{&registry_[id]->workload->cfg,
                                  predecompress_k};
   const auto it = frontiers_.find(key);
-  return it == frontiers_.end() ? nullptr : it->second.shared.get();
+  return it == frontiers_.end() ? nullptr : it->second.get();
 }
 
 }  // namespace apcc::serving

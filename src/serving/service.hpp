@@ -57,12 +57,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/system.hpp"
+#include "runtime/artifact_slot.hpp"
 #include "runtime/frontier_cache.hpp"
 #include "serving/cache.hpp"
 #include "serving/fault_plan.hpp"
@@ -361,68 +361,37 @@ class Service {
   /// The (CFG, k) geometry slot for a registered workload, if some job
   /// has needed it. Exposed for tests and diagnostics: builder() says
   /// which thread materialized it (pinned off the submitting thread).
-  [[nodiscard]] const runtime::SharedFrontier* frontier_slot(
+  using FrontierSlot = runtime::ArtifactSlot<runtime::FrontierCache>;
+  [[nodiscard]] const FrontierSlot* frontier_slot(
       WorkloadId id, unsigned predecompress_k) const;
 
  private:
-  struct ImageSlot;
+  using ImageSlot = runtime::ArtifactSlot<runtime::BlockImage>;
   struct Registered;
 
-  /// RAII record of one grid cell's borrowed artifacts. Every borrow
-  /// (and every publish -- the builder borrows what it built) pins the
-  /// artifact's slot; the lease unpins at destruction, which the item
-  /// lambdas arrange to happen only after the cell's engine run
-  /// finished. While a lease is live its artifacts are never eviction
-  /// victims, so engines hold plain references with no locking --
-  /// exactly the pre-budget borrowing contract. Not copyable (a pin has
-  /// one owner).
-  class CellLease {
-   public:
-    CellLease() = default;
-    CellLease(const CellLease&) = delete;
-    CellLease& operator=(const CellLease&) = delete;
-    ~CellLease();
+  /// The one artifact-resolution path, for every kind: find or create
+  /// the slot for `key`, acquire it pinned (the pin goes to `held`, a
+  /// field of the cell's lease), and keep the kind's `stats` and the
+  /// eviction ledger. `build()` makes the artifact on a miss;
+  /// `rebuild_cost` is its ledger estimate. `token` (may be null) makes
+  /// the handshake cancellation-aware: it is polled at every claim and
+  /// at the start of the build, and a cancelled builder rolls its claim
+  /// back so waiters re-claim. A publish runs the eviction pass. The
+  /// returned reference stays valid until `held` is unpinned.
+  template <typename Key, typename T, typename Build>
+  const T& resolve_artifact(
+      std::map<Key, std::unique_ptr<runtime::ArtifactSlot<T>>>& slots,
+      const Key& key, ArtifactStats& stats, std::uint64_t rebuild_cost,
+      const sweep::CancelToken* token, runtime::ArtifactSlotBase*& held,
+      Build&& build);
 
-    /// Drop the borrows now (idempotent; the destructor calls it).
-    void release();
-
-   private:
-    friend class Service;
-    ImageSlot* image_ = nullptr;
-    runtime::SharedFrontier* frontier_ = nullptr;
-  };
-
-  /// One geometry slot plus its eviction-ledger entry. The slot guards
-  /// its own handshake state and pin count under its mutex; the ledger
-  /// fields are guarded by Service::mutex_ (bytes == 0 means "not
-  /// resident" -- never published, or evicted).
-  struct FrontierLedger {
-    std::unique_ptr<runtime::SharedFrontier> shared;
-    std::uint64_t bytes = 0;         // resident bytes (0 = not resident)
-    std::uint64_t rebuild_cost = 0;  // estimate_frontier_cost at publish
-    std::uint64_t last_use = 0;      // cache_clock_ at last borrow/publish
-  };
-
-  /// Resolve (build-or-borrow) the image artifact for a cell. `token`
-  /// (may be null) makes the claim-build handshake cancellation-aware:
-  /// a cancelled builder rolls its claim back so waiters re-claim. The
-  /// borrow is pinned into `lease` before the slot lock is released, so
-  /// the returned reference stays valid until the lease releases.
-  const runtime::BlockImage& image_for(Registered& entry,
-                                       const core::SystemConfig& config,
-                                       const sweep::CancelToken* token,
-                                       CellLease& lease);
-  /// Resolve the geometry artifact; creates the slot on first need.
-  /// Pins the borrow into `lease` (see image_for).
-  const runtime::FrontierCache* frontiers_for(Registered& entry, unsigned k,
-                                              const sweep::CancelToken* token,
-                                              CellLease& lease);
-  /// Engine config for one cell, with borrowed geometry when asked.
-  sim::EngineConfig cell_config(Registered& entry,
-                                const sim::EngineConfig& base,
-                                bool share_frontiers,
-                                const sweep::CancelToken* token,
-                                CellLease& lease);
+  /// Run one grid cell: borrow (or build) the workload's image for the
+  /// spec's codec and, with spec.share_frontiers, the (CFG, k) geometry
+  /// for `config`, then simulate the workload's trace. The borrows stay
+  /// pinned until the engine run returns.
+  sim::RunResult run_cell(Registered& entry, const JobSpec& spec,
+                          sim::EngineConfig config,
+                          const sweep::CancelToken* token);
 
   /// The publish-time eviction pass (call with mutex_ held): snapshot
   /// the resident artifacts into cache.hpp CacheEntry views, run
@@ -443,14 +412,9 @@ class Service {
 
   mutable std::mutex mutex_;  // registry + slot maps + stats + admission
   std::vector<std::unique_ptr<Registered>> registry_;
-  /// Geometry artifacts plus their eviction ledger, keyed by (CFG
-  /// identity, k). Service-wide: the key is the CFG address, which each
-  /// registered workload owns. Map nodes are stable, so slot pointers
-  /// survive later insertions.
-  std::map<runtime::FrontierKey, FrontierLedger> frontiers_;
-  /// (CFG, k) keys whose last geometry build failed: the next claim of
-  /// that key counts as a rebuild (mirrors ImageSlot::failed_before).
-  std::set<runtime::FrontierKey> frontier_failed_;
+  /// Geometry artifacts, keyed by (CFG identity, k). Service-wide: the
+  /// key is the CFG address, which each registered workload owns.
+  std::map<runtime::FrontierKey, std::unique_ptr<FrontierSlot>> frontiers_;
   CacheStats stats_;
   /// Eviction-ledger clock: one tick per artifact borrow or publish.
   /// last_use stamps come from it, so "recency" is a deterministic

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "runtime/artifact_slot.hpp"
 #include "sim/engine.hpp"
 #include "support/assert.hpp"
 #include "sweep/pool.hpp"
@@ -11,25 +12,24 @@ namespace apcc::sweep {
 
 namespace {
 
-/// One SharedFrontier handshake slot per runtime::FrontierKey -- (CFG
-/// identity, predecompress_k) -- the grid needs. The submitting thread
-/// only creates the (cheap, empty) slots; the first pool worker whose
-/// cell needs a key claims its build and materializes on the worker, so
+/// One geometry slot per runtime::FrontierKey -- (CFG identity,
+/// predecompress_k) -- the grid needs. The submitting thread only
+/// creates the (cheap, empty) slots; the first pool worker whose cell
+/// needs a key claims its build and materializes on the worker, so
 /// geometry construction overlaps with simulation of cells over other
 /// keys instead of serializing on the caller before the pool starts.
+using GeometrySlot = runtime::ArtifactSlot<runtime::FrontierCache>;
 using GeometryMap =
-    std::map<runtime::FrontierKey, std::unique_ptr<runtime::SharedFrontier>>;
+    std::map<runtime::FrontierKey, std::unique_ptr<GeometrySlot>>;
 
 GeometryMap make_geometry_slots(const std::vector<CampaignWorkload>& workloads,
                                 const std::vector<SweepTask>& grid) {
   GeometryMap geometry;
   for (const CampaignWorkload& workload : workloads) {
     for (const SweepTask& task : grid) {
-      const unsigned k = task.config.policy.predecompress_k;
-      auto& slot = geometry[runtime::FrontierKey{workload.cfg, k}];
-      if (!slot) {
-        slot = std::make_unique<runtime::SharedFrontier>(*workload.cfg, k);
-      }
+      auto& slot = geometry[runtime::FrontierKey{
+          workload.cfg, task.config.policy.predecompress_k}];
+      if (!slot) slot = std::make_unique<GeometrySlot>();
     }
   }
   return geometry;
@@ -75,11 +75,20 @@ std::vector<CampaignResult> run_campaign(
     if (options.share_frontiers && plans) {
       // Claim-build or wait: first cell over this (workload, k) key
       // materializes the cache on its worker, everyone later borrows.
+      // The campaign owns its slots for their whole life and never
+      // evicts, so the borrow is unpinned.
+      const unsigned k = config.policy.predecompress_k;
       config.shared_frontiers =
-          geometry
-              .at(runtime::FrontierKey{workload.cfg,
-                                       config.policy.predecompress_k})
-              ->acquire();
+          geometry.at(runtime::FrontierKey{workload.cfg, k})
+              ->acquire([] {},
+                        [&](bool) {
+                          auto cache = std::make_unique<runtime::FrontierCache>(
+                              *workload.cfg, k);
+                          cache->materialize();
+                          return cache;
+                        },
+                        /*pin=*/false)
+              .artifact;
     }
     sim::Engine engine(*workload.cfg, *workload.image, config);
     sinks[w].push(SweepOutcome{t, grid[t].label, engine.run(*workload.trace)});

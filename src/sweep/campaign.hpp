@@ -12,13 +12,13 @@
 //
 // Shared geometry: the planner/predictor FrontierCache is keyed on
 // (CFG, predecompress_k) -- per workload-and-k, not per task -- yet
-// every engine used to rebuild it. A campaign creates one SharedFrontier
-// handshake slot per distinct (workload, k) key; the first pool worker
-// whose cell needs a key claims its build and materializes the cache on
-// that worker (overlapping with other cells' simulation -- the calling
-// thread never builds geometry when workers > 1), after which the cache
-// is immutable and every later engine over that key borrows it via
-// EngineConfig::shared_frontiers.
+// every engine used to rebuild it. A campaign creates one
+// runtime::ArtifactSlot per distinct (workload, k) key; the first pool
+// worker whose cell needs a key claims its build and materializes the
+// cache on that worker (overlapping with other cells' simulation -- the
+// calling thread never builds geometry when workers > 1), after which
+// the cache is immutable and every later engine over that key borrows
+// it via EngineConfig::shared_frontiers.
 // Borrowed geometry holds exactly the lists an owned cache would
 // compute, so it cannot change any outcome; the differential tests pin
 // borrowed == owned bit-identically.

@@ -153,7 +153,7 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   job_a.workload = fx.ids[0];
   expect_identical(fx.service.submit(job_a).wait(),
                    reference_systems()[0].run());
-  const runtime::SharedFrontier* slot_a = fx.service.frontier_slot(fx.ids[0], k);
+  const Service::FrontierSlot* slot_a = fx.service.frontier_slot(fx.ids[0], k);
   ASSERT_NE(slot_a, nullptr);
   {
     const auto stats = fx.service.cache_stats();
