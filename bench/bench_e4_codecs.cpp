@@ -4,10 +4,7 @@
 // each codec, the whole-suite compression ratio, the modelled per-byte
 // decompression cost, and -- via google-benchmark -- the *actual* host
 // throughput of compress/decompress on basic-block-sized inputs.
-#include <string>
-
 #include "bench/bench_common.hpp"
-#include "compress/adaptive.hpp"
 #include "compress/huffman.hpp"
 #include "support/table.hpp"
 
@@ -27,13 +24,6 @@ const std::vector<compress::Bytes>& all_suite_blocks() {
   return blocks;
 }
 
-constexpr compress::CodecKind kAllCodecs[] = {
-    compress::CodecKind::kNull,         compress::CodecKind::kMtfRle,
-    compress::CodecKind::kHuffman,      compress::CodecKind::kSharedHuffman,
-    compress::CodecKind::kLzss,         compress::CodecKind::kCodePack,
-    compress::CodecKind::kFieldSplit,   compress::CodecKind::kFpc,
-    compress::CodecKind::kBdi,          compress::CodecKind::kAdaptive};
-
 void print_tables() {
   bench::print_header("E4",
                       "codec comparison over all suite basic blocks\n"
@@ -48,11 +38,9 @@ void print_tables() {
       .cell("comp cyc/B")
       .cell("gsm avg-saving")
       .cell("gsm slowdown");
-  std::string usage;
-  for (const auto kind : kAllCodecs) {
+  for (const auto kind : compress::kAllCodecKinds) {
     const auto codec = compress::make_codec(kind, blocks);
     const double ratio = compress::compression_ratio(*codec, blocks);
-    usage += compress::usage_summary(*codec);
 
     core::SystemConfig config;
     config.codec = kind;
@@ -69,12 +57,10 @@ void print_tables() {
         .cell(result.slowdown(), 3);
   }
   std::cout << table.render() << '\n';
-  if (!usage.empty()) std::cout << usage << '\n';
   std::cout << "Shape checks: per-stream huffman loses to the shared model\n"
-               "on basic blocks (header cost); the pattern codecs (fpc, bdi)\n"
-               "decode cheapest; adaptive matches the best per-block ratio\n"
-               "for one header byte; better ratio -> more memory saving at\n"
-               "similar k.\n\n";
+               "on basic blocks (header cost); the image-trained codecs\n"
+               "(codepack, field-split) compress best; better ratio -> more\n"
+               "memory saving at similar k.\n\n";
 }
 
 void bm_compress(benchmark::State& state) {
@@ -111,40 +97,14 @@ void bm_decompress(benchmark::State& state) {
   state.SetLabel(codec->name().data());
 }
 
-BENCHMARK(bm_compress)->DenseRange(0, 9);
-BENCHMARK(bm_decompress)->DenseRange(0, 9);
-
-// Adaptive selection over the whole suite: one iteration = one
-// best-of pass across every block. The per-candidate win counts land
-// in the JSON as sel_<codec> counters (run_benches.sh asserts they
-// are present and that every block was claimed by some candidate).
-void bm_adaptive_selection(benchmark::State& state) {
-  const auto& blocks = all_suite_blocks();
-  const compress::AdaptiveCodec codec(blocks);
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    for (const auto& block : blocks) {
-      benchmark::DoNotOptimize(codec.compress(block));
-      bytes += block.size();
-    }
+/// One benchmark argument per codec: its CodecKind value.
+void codec_args(benchmark::internal::Benchmark* b) {
+  for (const auto kind : compress::kAllCodecKinds) {
+    b->Arg(static_cast<std::int64_t>(kind));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  const auto stats = codec.selection_stats();
-  std::uint64_t wins = 0;
-  for (const auto& s : stats) {
-    std::string name = "sel_";
-    name += compress::codec_kind_name(s.kind);
-    for (auto& ch : name) {
-      if (ch == '-') ch = '_';
-    }
-    state.counters[name] = benchmark::Counter(
-        static_cast<double>(s.wins), benchmark::Counter::kAvgIterations);
-    wins += s.wins;
-  }
-  state.counters["sel_total"] = benchmark::Counter(
-      static_cast<double>(wins), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(bm_adaptive_selection);
+BENCHMARK(bm_compress)->Apply(codec_args);
+BENCHMARK(bm_decompress)->Apply(codec_args);
 
 // Decoder-level A/B on identical bitstreams: the two-level lookup table
 // against the bit-at-a-time first-code/offset reference decoder. This

@@ -76,8 +76,9 @@ enum class JobStatus : std::uint8_t {
 /// v5: removed that field (lockstep batching is gone) and the job-level
 /// and per-task reference-path debug switches, which are test-only
 /// sim::EngineConfig fields now.
+/// v6: removed the fpc, bdi and adaptive codec names.
 struct JobSpec {
-  static constexpr int kWireVersion = 5;
+  static constexpr int kWireVersion = 6;
 
   JobKind kind = JobKind::kRun;
   /// Workload references ("@<id>" or a registered name). Exactly one

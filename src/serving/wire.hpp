@@ -6,7 +6,7 @@
 // round-trip gate all speak exactly this format. Records are
 // line-oriented text:
 //
-//   apcc.job v5                      <- strict versioned header
+//   apcc.job v6                      <- strict versioned header
 //   kind sweep
 //   client bench-rig
 //   priority high
@@ -19,7 +19,7 @@
 //   task label=on-demand/k=1 strategy=on-demand kc=1 kd=1 ...
 //   end
 //
-//   apcc.result v5
+//   apcc.result v6
 //   job 1
 //   client bench-rig
 //   status ok
@@ -42,6 +42,10 @@
 // switches, which selected the slow reference engine paths; those stay
 // test-only sim::EngineConfig fields. Any of them in a v5 record is an
 // unknown key. Result records are unchanged apart from the header.
+//
+// v6 removes the `fpc`, `bdi` and `adaptive` values of the `codec` key
+// (those codecs are gone); naming one is an unknown codec. Records are
+// otherwise unchanged apart from the header.
 //
 // Contract:
 //  * **Strict**: the header must match byte-for-byte (a future schema

@@ -221,9 +221,7 @@ TEST(Service, RunResultIdenticalAcrossCodecs) {
   // Image artifacts are keyed by codec: jobs with different codecs get
   // different images, each matching the direct path for that codec.
   for (const auto codec :
-       {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss,
-        compress::CodecKind::kFpc, compress::CodecKind::kBdi,
-        compress::CodecKind::kAdaptive}) {
+       {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss}) {
     core::SystemConfig config;
     config.codec = codec;
     const auto direct = core::CodeCompressionSystem::from_workload(

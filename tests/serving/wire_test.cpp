@@ -108,7 +108,7 @@ TEST(Wire, JobRoundTripIsFixedPoint) {
 
 TEST(Wire, MinimalJobParsesToDefaults) {
   const JobSpec spec = parse_job(
-      "apcc.job v5\n"
+      "apcc.job v6\n"
       "kind run\n"
       "workload gsm-like\n"
       "end\n");
@@ -135,7 +135,7 @@ TEST(Wire, RecordLevelPolicyIsTheBaseTasksOverride) {
   // expands over); task kvs override per cell. Order doesn't matter:
   // a policy line below the task lines still applies.
   const JobSpec spec = parse_job(
-      "apcc.job v5\n"
+      "apcc.job v6\n"
       "kind sweep\n"
       "workload gsm-like\n"
       "task label=inherit strategy=pre-all\n"
@@ -159,7 +159,7 @@ TEST(Wire, RecordLevelPolicyIsTheBaseTasksOverride) {
 
 TEST(Wire, GridSugarExpandsToTheStandardGrid) {
   const JobSpec spec = parse_job(
-      "apcc.job v5\n"
+      "apcc.job v6\n"
       "kind sweep\n"
       "workload gsm-like\n"
       "codec lzss\n"
@@ -198,85 +198,94 @@ void expect_wire_error(const std::string& text, const char* needle,
 TEST(Wire, StrictParsingPositionsErrors) {
   expect_wire_error("apcc.job v1\nkind run\nend\n", "unsupported wire", 1);
   // Older records are not silently accepted either: the header gate
-  // rejects anything but v5.
+  // rejects anything but v6.
   expect_wire_error("apcc.job v2\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
   expect_wire_error("apcc.job v3\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
   expect_wire_error("apcc.job v4\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
+  expect_wire_error("apcc.job v5\nkind run\nworkload x\nend\n",
+                    "unsupported wire", 1);
   expect_wire_error("bogus\n", "record header", 1);
-  expect_wire_error("apcc.job v5\nkind run\nworkload x\n", "missing 'end'",
+  expect_wire_error("apcc.job v6\nkind run\nworkload x\n", "missing 'end'",
                     4);
-  expect_wire_error("apcc.job v5\nworkload x\nend\n", "missing 'kind'", 1);
-  expect_wire_error("apcc.job v5\nkind run\nfrobnicate 1\nend\n",
+  expect_wire_error("apcc.job v6\nworkload x\nend\n", "missing 'kind'", 1);
+  expect_wire_error("apcc.job v6\nkind run\nfrobnicate 1\nend\n",
                     "unknown key", 3);
-  expect_wire_error("apcc.job v5\nkind run\nkind sweep\nend\n",
+  expect_wire_error("apcc.job v6\nkind run\nkind sweep\nend\n",
                     "duplicate", 3);
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\ntask label=a bogus=1\nend\n",
+      "apcc.job v6\nkind sweep\nworkload x\ntask label=a bogus=1\nend\n",
       "unknown key 'bogus'", 4);
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\ntask label=a kc=1 kc=2\nend\n",
+      "apcc.job v6\nkind sweep\nworkload x\ntask label=a kc=1 kc=2\nend\n",
       "duplicate key 'kc'", 4);
-  expect_wire_error("apcc.job v5\nkind run\nmax-workers lots\nend\n",
+  expect_wire_error("apcc.job v6\nkind run\nmax-workers lots\nend\n",
                     "malformed max-workers", 3);
-  expect_wire_error("apcc.job v5\nkind run\ndeadline-ms soon\nend\n",
+  expect_wire_error("apcc.job v6\nkind run\ndeadline-ms soon\nend\n",
                     "malformed deadline-ms", 3);
   expect_wire_error(
-      "apcc.job v5\nkind run\ndeadline-ms 1\ndeadline-ms 2\nend\n",
+      "apcc.job v6\nkind run\ndeadline-ms 1\ndeadline-ms 2\nend\n",
       "duplicate", 4);
   // Keys v5 removed are unknown keys, at job and at task level: the
   // lockstep batch width and the reference-path debug switches.
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\nbatch-cells 4\n"
+      "apcc.job v6\nkind sweep\nworkload x\nbatch-cells 4\n"
       "grid strategy-k\nend\n",
       "unknown key 'batch-cells'", 4);
   expect_wire_error(
-      "apcc.job v5\nkind run\nworkload x\nreference-scans 1\nend\n",
+      "apcc.job v6\nkind run\nworkload x\nreference-scans 1\nend\n",
       "unknown key 'reference-scans'", 4);
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\n"
+      "apcc.job v6\nkind sweep\nworkload x\n"
       "task label=a reference-frontiers=1\nend\n",
       "unknown key 'reference-frontiers'", 4);
+  // Codec names v6 removed are unknown codecs, positioned at the line.
+  for (const char* codec : {"fpc", "bdi", "adaptive"}) {
+    expect_wire_error(
+        std::string("apcc.job v6\nkind run\nworkload x\ncodec ") + codec +
+            "\nend\n",
+        "unknown codec", 4);
+  }
   // Narrowing is strict: a value past the field's width is malformed,
   // never a silent wrap (4294967296 -> 0 would read as "uncapped").
-  expect_wire_error("apcc.job v5\nkind run\nmax-workers 4294967296\nend\n",
+  expect_wire_error("apcc.job v6\nkind run\nmax-workers 4294967296\nend\n",
                     "max-workers out of range", 3);
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\ntask label=a kc=4294967296\n"
+      "apcc.job v6\nkind sweep\nworkload x\ntask label=a kc=4294967296\n"
       "end\n",
       "kc out of range", 4);
-  expect_wire_error("apcc.job v5\nkind run\npriority urgent\nend\n",
+  expect_wire_error("apcc.job v6\nkind run\npriority urgent\nend\n",
                     "unknown priority", 3);
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\ngrid bogus\nend\n",
+      "apcc.job v6\nkind sweep\nworkload x\ngrid bogus\nend\n",
       "unknown grid", 4);
   expect_wire_error(
-      "apcc.job v5\nkind sweep\nworkload x\ntask label=a\ngrid strategy-k\n"
+      "apcc.job v6\nkind sweep\nworkload x\ntask label=a\ngrid strategy-k\n"
       "end\n",
       "exclusive", 5);
   // A grid job record with no grid is the silent-zero-outcomes trap:
   // rejected at the wire layer (the typed API keeps empty-grid
   // semantics; tests/serving/service_test.cpp pins those).
-  expect_wire_error("apcc.job v5\nkind sweep\nworkload x\nend\n",
+  expect_wire_error("apcc.job v6\nkind sweep\nworkload x\nend\n",
                     "needs 'task' lines or 'grid strategy-k'", 1);
-  expect_wire_error("apcc.job v5\nkind campaign\nworkload x\nend\n",
+  expect_wire_error("apcc.job v6\nkind campaign\nworkload x\nend\n",
                     "needs 'task' lines or 'grid strategy-k'", 1);
   // ...and a campaign with no workloads (the old bare-`campaign`
   // batch line meant "whole suite"; a record spells them out).
   expect_wire_error(
-      "apcc.job v5\nkind campaign\ngrid strategy-k\nend\n",
+      "apcc.job v6\nkind campaign\ngrid strategy-k\nend\n",
       "at least one 'workload' line", 1);
   // Structural validation is positioned too (the record header line).
-  expect_wire_error("apcc.job v5\nkind run\nend\n", "exactly one workload",
+  expect_wire_error("apcc.job v6\nkind run\nend\n", "exactly one workload",
                     1);
   expect_wire_error(
-      "apcc.job v5\nkind run\nworkload x\ntask label=a\nend\n",
+      "apcc.job v6\nkind run\nworkload x\ntask label=a\nend\n",
       "not a task grid", 1);
   // Comments and blank lines inside a record are skipped but counted.
   expect_wire_error(
-      "apcc.job v5\n\n# comment\nkind run\nbroken-key 1\nend\n",
+      "apcc.job v6\n\n# comment\nkind run\nbroken-key 1\nend\n",
       "unknown key 'broken-key'", 5);
 }
 
@@ -358,31 +367,31 @@ TEST(Wire, ResultParsingIsStrict) {
           << e.what();
     }
   };
-  expect_result_error("apcc.job v5\nend\n", "expected 'apcc.result v5'");
-  expect_result_error("apcc.result v5\njob 1\nend\n", "missing 'status'");
-  expect_result_error("apcc.result v5\nstatus done\nend\n",
+  expect_result_error("apcc.job v6\nend\n", "expected 'apcc.result v6'");
+  expect_result_error("apcc.result v6\njob 1\nend\n", "missing 'status'");
+  expect_result_error("apcc.result v6\nstatus done\nend\n",
                       "unknown status");
-  expect_result_error("apcc.result v5\nstatus error\nend\n",
+  expect_result_error("apcc.result v6\nstatus error\nend\n",
                       "missing 'error'");
-  expect_result_error("apcc.result v5\nstatus ok\nend\n", "missing 'kind'");
+  expect_result_error("apcc.result v6\nstatus ok\nend\n", "missing 'kind'");
   expect_result_error(
-      "apcc.result v5\nstatus ok\nkind run\nend\n", "exactly one 'run' line");
+      "apcc.result v6\nstatus ok\nkind run\nend\n", "exactly one 'run' line");
   expect_result_error(
-      "apcc.result v5\nstatus error\nerror x\nkind run\nrun total-cycles=1\n"
+      "apcc.result v6\nstatus error\nerror x\nkind run\nrun total-cycles=1\n"
       "end\n",
       "cannot carry a payload");
   // Every non-ok status refuses a payload, not just error.
   expect_result_error(
-      "apcc.result v5\nstatus cancelled\nkind run\nrun total-cycles=1\n"
+      "apcc.result v6\nstatus cancelled\nkind run\nrun total-cycles=1\n"
       "end\n",
       "cannot carry a payload");
   expect_result_error(
-      "apcc.result v5\nstatus ok\nkind campaign\noutcome index=0 label=a\n"
+      "apcc.result v6\nstatus ok\nkind campaign\noutcome index=0 label=a\n"
       "end\n",
       "follow a 'group' line");
   // ...while a bare lifecycle status (no error, no payload) is fine.
   const ResultRecord bare =
-      parse_result("apcc.result v5\njob 3\nstatus rejected\nend\n");
+      parse_result("apcc.result v6\njob 3\nstatus rejected\nend\n");
   EXPECT_EQ(bare.status, JobStatus::kRejected);
   EXPECT_FALSE(bare.ok());
   EXPECT_EQ(bare.error, "");
@@ -407,12 +416,12 @@ TEST(Wire, RecordReaderSplitsStreamsAndPositions) {
   std::istringstream in(
       "# a comment between records\n"
       "\n"
-      "apcc.job v5\n"
+      "apcc.job v6\n"
       "kind run\n"
       "workload gsm-like\n"
       "end\n"
       "\n"
-      "apcc.result v5\n"
+      "apcc.result v6\n"
       "job 1\n"
       "status error\n"
       "error boom\n"
@@ -432,20 +441,20 @@ TEST(Wire, RecordReaderSplitsStreamsAndPositions) {
   EXPECT_EQ(record.error, "boom");
   EXPECT_FALSE(reader.next().has_value());
 
-  std::istringstream garbage("apcc.job v5\nkind run\n");
+  std::istringstream garbage("apcc.job v6\nkind run\n");
   RecordReader bad(garbage);
   EXPECT_THROW({ (void)bad.next(); }, WireError);
 
   // The unterminated-record snippet is the header line, intact even
   // when later (longer) body lines forced the line buffer to grow.
-  std::istringstream unterminated("apcc.job v5\nkind run\nclient " +
+  std::istringstream unterminated("apcc.job v6\nkind run\nclient " +
                                   std::string(512, 'x') + "\n");
   RecordReader dangling(unterminated);
   try {
     (void)dangling.next();
     FAIL() << "expected WireError";
   } catch (const WireError& e) {
-    EXPECT_EQ(e.snippet(), "apcc.job v5");
+    EXPECT_EQ(e.snippet(), "apcc.job v6");
     EXPECT_EQ(e.line(), 1u);
   }
 }
@@ -523,7 +532,6 @@ TEST(Wire, GoldenFilesAreFixedPoints) {
       "result_run.wire",   "result_sweep.wire",  "result_campaign.wire",
       "result_error.wire", "result_rejected.wire",
       "result_cancelled.wire", "jobs_mixed.wire",
-      "job_pattern_codecs.wire",
   };
   for (const std::string& name : goldens) {
     const std::string path = std::string(APCC_WIRE_DATA_DIR) + "/" + name;

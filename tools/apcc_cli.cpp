@@ -54,7 +54,7 @@
 // batch / serve job records are the versioned wire format -- see
 // docs/API.md for the full grammar. The minimal job is:
 //
-//   apcc.job v5
+//   apcc.job v6
 //   kind run
 //   workload gsm-like
 //   end
@@ -68,7 +68,7 @@
 //
 // options:
 //   --codec null|mtf-rle|huffman|huffman-shared|lzss|codepack|
-//           field-split|fpc|bdi|adaptive
+//           field-split
 //   --strategy on-demand|pre-all|pre-single   (sim/run only)
 //   --predictor profile|static|oracle
 //   --kc N            compression-side k (default 2; sim/run only)
@@ -173,7 +173,7 @@ constexpr const char* kToolVersion = "0.6.0";
       "\n"
       "batch files and the serve stdin stream hold wire format job\n"
       "records (docs/API.md):\n"
-      "  apcc.job v5\n"
+      "  apcc.job v6\n"
       "  kind run|sweep|campaign\n"
       "  workload <name-or-path>      (repeatable for campaign)\n"
       "  priority high|normal|batch   (optional QoS)\n"
@@ -222,16 +222,9 @@ std::string read_file(const std::string& path) {
 }
 
 compress::CodecKind parse_codec(const std::string& name) {
-  if (name == "null") return compress::CodecKind::kNull;
-  if (name == "mtf-rle") return compress::CodecKind::kMtfRle;
-  if (name == "huffman") return compress::CodecKind::kHuffman;
-  if (name == "huffman-shared") return compress::CodecKind::kSharedHuffman;
-  if (name == "lzss") return compress::CodecKind::kLzss;
-  if (name == "codepack") return compress::CodecKind::kCodePack;
-  if (name == "field-split") return compress::CodecKind::kFieldSplit;
-  if (name == "fpc") return compress::CodecKind::kFpc;
-  if (name == "bdi") return compress::CodecKind::kBdi;
-  if (name == "adaptive") return compress::CodecKind::kAdaptive;
+  for (const auto kind : compress::kAllCodecKinds) {
+    if (name == compress::codec_kind_name(kind)) return kind;
+  }
   usage("unknown codec '" + name + "'");
 }
 

@@ -66,21 +66,18 @@ echo "== E11 engine throughput -> ${OUT_DIR}/BENCH_engine.json"
 echo "== E4 codec throughput -> ${OUT_DIR}/BENCH_codecs.json"
 "${BUILD_DIR}/bench_e4_codecs" \
     ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_(huffman_decode|decompress|adaptive_selection)' \
+    --benchmark_filter='bm_(huffman_decode|decompress)' \
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_codecs.json" \
     --benchmark_out_format=json
 
-# The pattern-codec series must actually be in the artifact: the fpc
-# and bdi decompress rows (the word-at-a-time end of the table) and the
-# adaptive selection run with its per-candidate win counters. A missing
-# label/counter means the codec family silently fell out of the bench.
-for needle in '"label": "fpc"' '"label": "bdi"' '"label": "adaptive"' \
-              '"sel_fpc"' '"sel_bdi"' '"sel_total"'; do
+# The trained-codec series must actually be in the artifact: the
+# codepack and field-split decompress rows (the best-ratio end of the
+# table). A missing label means a codec silently fell out of the bench.
+for needle in '"label": "codepack"' '"label": "field-split"'; do
   if ! grep -q "${needle}" "${OUT_DIR}/BENCH_codecs.json"; then
     echo "error: BENCH_codecs.json is missing ${needle}" >&2
-    echo "       (bm_decompress should cover the pattern family and" >&2
-    echo "        bm_adaptive_selection should emit sel_* counters)" >&2
+    echo "       (bm_decompress should cover every codec)" >&2
     exit 1
   fi
 done
