@@ -43,13 +43,10 @@ std::vector<sweep::SweepTask> make_grid() {
     largest = std::max(largest, workload.cfg.block(b).size_bytes());
   }
   std::vector<sweep::SweepTask> tasks;
-  for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
-                              runtime::DecompressionStrategy::kPreAll,
-                              runtime::DecompressionStrategy::kPreSingle}) {
+  for (const auto strategy : runtime::kAllStrategies) {
     for (const std::uint32_t k : {1u, 2u, 4u, 8u, 16u, 32u}) {
       for (const bool tight_budget : {false, true}) {
-        for (const auto fit :
-             {memory::FitPolicy::kFirstFit, memory::FitPolicy::kBestFit}) {
+        for (const auto fit : memory::kAllFitPolicies) {
           sweep::SweepTask task;
           task.config = sweep_system().engine_config();
           task.config.policy.strategy = strategy;
@@ -61,9 +58,8 @@ std::vector<sweep::SweepTask> make_grid() {
           }
           task.label = std::string(runtime::strategy_name(strategy)) +
                        "/k=" + std::to_string(k) +
-                       (tight_budget ? "/tight" : "/unbounded") +
-                       (fit == memory::FitPolicy::kBestFit ? "/best-fit"
-                                                           : "/first-fit");
+                       (tight_budget ? "/tight" : "/unbounded") + "/" +
+                       memory::fit_policy_name(fit);
           tasks.push_back(std::move(task));
         }
       }
@@ -212,17 +208,15 @@ std::vector<sweep::SweepTask> wide_cfg_grid() {
   for (const auto strategy : {runtime::DecompressionStrategy::kPreAll,
                               runtime::DecompressionStrategy::kPreSingle}) {
     for (const std::uint32_t k : {2u, 4u, 6u, 8u}) {
-      for (const auto fit :
-           {memory::FitPolicy::kFirstFit, memory::FitPolicy::kBestFit}) {
+      for (const auto fit : memory::kAllFitPolicies) {
         sweep::SweepTask task;
         task.config.policy.strategy = strategy;
         task.config.policy.compress_k = k;
         task.config.policy.predecompress_k = k;
         task.config.fit = fit;
         task.label = std::string(runtime::strategy_name(strategy)) +
-                     "/k=" + std::to_string(k) +
-                     (fit == memory::FitPolicy::kBestFit ? "/best-fit"
-                                                         : "/first-fit");
+                     "/k=" + std::to_string(k) + "/" +
+                     memory::fit_policy_name(fit);
         tasks.push_back(std::move(task));
       }
     }

@@ -8,6 +8,14 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t alignment) {
 }
 }  // namespace
 
+const char* fit_policy_name(FitPolicy policy) {
+  switch (policy) {
+    case FitPolicy::kFirstFit: return "first-fit";
+    case FitPolicy::kBestFit: return "best-fit";
+  }
+  return "?";
+}
+
 FreeListAllocator::FreeListAllocator(std::uint64_t capacity, FitPolicy policy)
     : capacity_(capacity), policy_(policy) {
   if (capacity_ > 0) {

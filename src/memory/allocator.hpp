@@ -7,6 +7,7 @@
 // fragmentation is reported so the E-series ablations can quantify it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -18,6 +19,13 @@ namespace apcc::memory {
 /// Placement policy for free-list search.
 enum class FitPolicy : std::uint8_t { kFirstFit, kBestFit };
 
+/// Every FitPolicy, in enum order, and its one spelling ("first-fit",
+/// "best-fit") for the wire codec and the bench labels.
+inline constexpr std::array<FitPolicy, 2> kAllFitPolicies = {
+    FitPolicy::kFirstFit, FitPolicy::kBestFit};
+
+[[nodiscard]] const char* fit_policy_name(FitPolicy policy);
+
 /// Snapshot of allocator health.
 struct AllocatorStats {
   std::uint64_t capacity = 0;
@@ -27,6 +35,8 @@ struct AllocatorStats {
   std::uint64_t live_allocations = 0;
   std::uint64_t total_allocations = 0;
   std::uint64_t failed_allocations = 0;
+
+  [[nodiscard]] bool operator==(const AllocatorStats&) const = default;
 
   /// 0 = free space is one contiguous run; 1 = maximally shattered.
   [[nodiscard]] double external_fragmentation() const {

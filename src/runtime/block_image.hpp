@@ -51,7 +51,8 @@ class BlockImage {
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
   /// Decompress block `id` and verify it matches the original; throws on
-  /// mismatch. Used by tests and the paranoid mode of the engine.
+  /// mismatch. Used by tests and by the engine under the test-only
+  /// sim::EngineConfig::paranoid_verify field.
   void verify_block(cfg::BlockId id) const;
 
  private:

@@ -6,6 +6,7 @@
 // the thread model -- plus the ablation switches DESIGN.md calls out.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace apcc::runtime {
@@ -19,6 +20,13 @@ enum class DecompressionStrategy : std::uint8_t {
 
 [[nodiscard]] const char* strategy_name(DecompressionStrategy s);
 
+/// Every value of each policy enum, in enum order: the one list the
+/// wire codec and the CLI resolve names over (through the *_name
+/// functions), as compress::kAllCodecKinds does for codecs.
+inline constexpr std::array<DecompressionStrategy, 3> kAllStrategies = {
+    DecompressionStrategy::kOnDemand, DecompressionStrategy::kPreAll,
+    DecompressionStrategy::kPreSingle};
+
 /// Predictor choices for pre-decompress-single (E7 ablation).
 enum class PredictorKind : std::uint8_t {
   kProfile,  // argmax expected-visit score under profiled edge probabilities
@@ -28,6 +36,9 @@ enum class PredictorKind : std::uint8_t {
 
 [[nodiscard]] const char* predictor_name(PredictorKind p);
 
+inline constexpr std::array<PredictorKind, 3> kAllPredictors = {
+    PredictorKind::kProfile, PredictorKind::kStatic, PredictorKind::kOracle};
+
 /// Victim selection for §2 budget mode ("LRU or a similar strategy").
 enum class VictimPolicy : std::uint8_t {
   kLru,      // least recently used (the paper's suggestion)
@@ -36,6 +47,9 @@ enum class VictimPolicy : std::uint8_t {
 };
 
 [[nodiscard]] const char* victim_policy_name(VictimPolicy p);
+
+inline constexpr std::array<VictimPolicy, 3> kAllVictimPolicies = {
+    VictimPolicy::kLru, VictimPolicy::kMru, VictimPolicy::kLargest};
 
 /// Per-event cycle costs of the runtime mechanism (paper §5). Codec
 /// (de)compression cycles come from compress::CodecCosts.
@@ -47,6 +61,8 @@ struct CostModel {
   std::uint64_t delete_block_cycles = 20;     // free a decompressed copy
   std::uint64_t alloc_block_cycles = 24;      // allocator work per placement
   std::uint64_t dispatch_job_cycles = 8;      // enqueue work for a helper
+
+  [[nodiscard]] bool operator==(const CostModel&) const = default;
 };
 
 /// The complete policy knob set.
@@ -90,8 +106,7 @@ struct Policy {
   /// instead of the paper's delete-the-copy design (E6).
   bool recompress_for_real = false;
 
-  /// Decompress-and-verify every block against the original (debugging).
-  bool paranoid_verify = false;
+  [[nodiscard]] bool operator==(const Policy&) const = default;
 };
 
 }  // namespace apcc::runtime

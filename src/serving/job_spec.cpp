@@ -1,5 +1,7 @@
 #include "serving/job_spec.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
 
 namespace apcc::serving {
@@ -44,9 +46,8 @@ void validate(const JobSpec& spec) {
       APCC_CHECK(false, "unknown job kind " +
                             std::to_string(static_cast<int>(spec.kind)));
   }
-  APCC_CHECK(spec.priority == sweep::Priority::kHigh ||
-                 spec.priority == sweep::Priority::kNormal ||
-                 spec.priority == sweep::Priority::kBatch,
+  APCC_CHECK(std::ranges::find(sweep::kAllPriorities, spec.priority) !=
+                 sweep::kAllPriorities.end(),
              "unknown priority class " +
                  std::to_string(static_cast<int>(spec.priority)));
   for (const std::string& ref : spec.workloads) {
@@ -56,9 +57,7 @@ void validate(const JobSpec& spec) {
 
 std::vector<sweep::SweepTask> strategy_k_grid(const sim::EngineConfig& base) {
   std::vector<sweep::SweepTask> tasks;
-  for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
-                              runtime::DecompressionStrategy::kPreAll,
-                              runtime::DecompressionStrategy::kPreSingle}) {
+  for (const auto strategy : runtime::kAllStrategies) {
     for (const std::uint32_t k : {1u, 2u, 4u, 8u}) {
       sweep::SweepTask task;
       task.label = std::string(runtime::strategy_name(strategy)) +

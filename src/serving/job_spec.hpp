@@ -24,6 +24,7 @@
 // byte-identical to plain FIFO.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -46,6 +47,9 @@ enum class JobKind : std::uint8_t {
 
 [[nodiscard]] const char* job_kind_name(JobKind kind);
 
+inline constexpr std::array<JobKind, 3> kAllJobKinds = {
+    JobKind::kRun, JobKind::kSweep, JobKind::kCampaign};
+
 /// How a submitted job resolved. kOk is the only status with a
 /// payload; every other status carries a human-readable message in
 /// JobResult::error instead. kError means an item threw (the handle
@@ -67,6 +71,10 @@ enum class JobStatus : std::uint8_t {
 /// "deadline-exceeded".
 [[nodiscard]] const char* status_name(JobStatus status);
 
+inline constexpr std::array<JobStatus, 5> kAllStatuses = {
+    JobStatus::kOk, JobStatus::kError, JobStatus::kRejected,
+    JobStatus::kCancelled, JobStatus::kDeadlineExceeded};
+
 /// The canonical, versioned job value. kWireVersion names the wire
 /// schema (serving/wire.hpp) this struct round-trips through; bump it
 /// deliberately whenever a field is added, removed, or re-interpreted.
@@ -77,8 +85,11 @@ enum class JobStatus : std::uint8_t {
 /// and per-task reference-path debug switches, which are test-only
 /// sim::EngineConfig fields now.
 /// v6: removed the fpc, bdi and adaptive codec names.
+/// v7: removed the `paranoid` policy key (a test-only
+/// sim::EngineConfig field now) and bounded `units`, `cpi` and the
+/// cost cycle keys.
 struct JobSpec {
-  static constexpr int kWireVersion = 6;
+  static constexpr int kWireVersion = 7;
 
   JobKind kind = JobKind::kRun;
   /// Workload references ("@<id>" or a registered name). Exactly one

@@ -6,7 +6,7 @@
 // round-trip gate all speak exactly this format. Records are
 // line-oriented text:
 //
-//   apcc.job v6                      <- strict versioned header
+//   apcc.job v7                      <- strict versioned header
 //   kind sweep
 //   client bench-rig
 //   priority high
@@ -19,7 +19,7 @@
 //   task label=on-demand/k=1 strategy=on-demand kc=1 kd=1 ...
 //   end
 //
-//   apcc.result v6
+//   apcc.result v7
 //   job 1
 //   client bench-rig
 //   status ok
@@ -47,12 +47,19 @@
 // (those codecs are gone); naming one is an unknown codec. Records are
 // otherwise unchanged apart from the header.
 //
+// v7 removes the `paranoid` kv from `policy` and `task` lines (a debug
+// path; now the test-only sim::EngineConfig::paranoid_verify) and
+// bounds the engine knobs a record sets: `units` 1..64, `cpi` finite
+// in [0, 1000], the cost cycle keys at most 2^32-1. Result records are
+// unchanged apart from the header.
+//
 // Contract:
 //  * **Strict**: the header must match byte-for-byte (a future schema
 //    change must bump the version deliberately); unknown keys,
-//    duplicate single-occurrence keys, malformed values, and missing
-//    `end` are errors, never silently ignored. Errors throw WireError
-//    carrying the offending line number and a snippet.
+//    duplicate single-occurrence keys, malformed or out-of-range
+//    values, and missing `end` are errors, never silently ignored.
+//    Errors throw WireError carrying the offending line number and a
+//    snippet.
 //  * **Lenient about omission**: every key except `kind` (and the
 //    workload arity the job kind demands) has the library default, so
 //    hand-written job files stay short.

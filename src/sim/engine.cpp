@@ -216,7 +216,7 @@ void Engine::issue_predecompression(cfg::BlockId block,
   extra_[block].from_predecomp = true;
   extra_[block].used_since_decomp = false;
   ++result_.predecompressions;
-  if (config_.policy.paranoid_verify) {
+  if (config_.paranoid_verify) {
     image_.verify_block(block);
   }
 }
@@ -399,7 +399,7 @@ void Engine::ensure_executable(cfg::BlockId block,
   extra_[block].from_predecomp = false;
   extra_[block].used_since_decomp = false;
   emit(EventKind::kDemandDecompress, now_, block, pred, cost);
-  if (config_.policy.paranoid_verify) {
+  if (config_.paranoid_verify) {
     image_.verify_block(block);
   }
 

@@ -80,6 +80,11 @@ struct EngineConfig {
   /// reading the memoized FrontierCache. Same bit-identical guarantee,
   /// pinned by the same differential test.
   bool reference_frontiers = false;
+  /// Debug: decompress every block the engine places and verify it
+  /// against the original (BlockImage::verify_block). Charges nothing
+  /// and changes no result; like the reference paths it is a test-only
+  /// knob, off core::SystemConfig and the wire.
+  bool paranoid_verify = false;
   /// Optional shared read-only planner geometry: a *materialized*
   /// FrontierCache built on this engine's CFG with
   /// k == policy.predecompress_k. Campaign runs (sweep::run_campaign)

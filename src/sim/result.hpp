@@ -45,6 +45,8 @@ struct RunResult {
   double codec_ratio = 0.0;                 // compressed/original
   memory::AllocatorStats allocator{};
 
+  [[nodiscard]] bool operator==(const RunResult&) const = default;
+
   // -- derived ----------------------------------------------------------
   /// Execution-time dilation vs an uncompressed image (1.0 = free).
   [[nodiscard]] double slowdown() const;

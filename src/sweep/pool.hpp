@@ -75,6 +75,7 @@
 // a temporary Pool otherwise.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -103,6 +104,10 @@ enum class Priority : std::uint8_t {
 };
 
 [[nodiscard]] const char* priority_name(Priority p);
+
+/// Every Priority, highest class first.
+inline constexpr std::array<Priority, 3> kAllPriorities = {
+    Priority::kHigh, Priority::kNormal, Priority::kBatch};
 
 /// How stop() treats work that is still queued.
 enum class StopMode : std::uint8_t {

@@ -189,7 +189,7 @@ TEST(CliSmoke, BatchSummaryReportsEvictionCountersUnderBudget) {
       ::testing::TempDir() + "/apcc_smoke_budget_jobs.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\nkind sweep\nworkload " << workload_path()
+    out << "apcc.job v7\nkind sweep\nworkload " << workload_path()
         << "\ngrid strategy-k\nend\n";
   }
   const auto result = run_cli_stderr("batch " + jobfile +
@@ -244,12 +244,12 @@ TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {
   {
     std::ofstream out(jobfile);
     out << "# smoke jobs (wire format)\n"
-        << "apcc.job v6\n"
+        << "apcc.job v7\n"
         << "kind run\n"
         << "workload " << workload_path() << "\n"
         << "end\n"
         << "\n"
-        << "apcc.job v6\n"
+        << "apcc.job v7\n"
         << "kind sweep\n"
         << "priority high\n"
         << "max-workers 1\n"
@@ -257,7 +257,7 @@ TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {
         << "grid strategy-k\n"
         << "end\n"
         << "\n"
-        << "apcc.job v6\n"
+        << "apcc.job v7\n"
         << "kind campaign\n"
         << "priority batch\n"
         << "workload " << workload_path() << "\n"
@@ -279,7 +279,7 @@ TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {
   // --wire emits machine-readable result records instead.
   const auto wired = run_cli("batch " + jobfile + " --wire");
   ASSERT_EQ(wired.exit_code, 0);
-  EXPECT_NE(wired.output.find("apcc.result v6\njob 1\n"), std::string::npos);
+  EXPECT_NE(wired.output.find("apcc.result v7\njob 1\n"), std::string::npos);
   EXPECT_NE(wired.output.find("status ok"), std::string::npos);
   EXPECT_NE(wired.output.find("kind campaign"), std::string::npos);
   std::remove(jobfile.c_str());
@@ -293,19 +293,19 @@ TEST(CliSmoke, BatchWireEmitsErrorRecordsForFailedJobs) {
       ::testing::TempDir() + "/apcc_smoke_wire_fail.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n"
-        << "apcc.job v6\nkind run\nworkload " << workload_path() << "\n"
+    out << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n"
+        << "apcc.job v7\nkind run\nworkload " << workload_path() << "\n"
         << "policy budget=1\n"  // smaller than any block: engine throws
         << "end\n"
-        << "apcc.job v6\nkind run\nworkload /nonexistent/nope.s\nend\n"
-        << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n";
+        << "apcc.job v7\nkind run\nworkload /nonexistent/nope.s\nend\n"
+        << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n";
   }
   const auto result = run_cli("batch " + jobfile + " --wire");
   ASSERT_EQ(result.exit_code, 0);
-  const std::size_t first = result.output.find("apcc.result v6\njob 1\n");
-  const std::size_t second = result.output.find("apcc.result v6\njob 2\n");
-  const std::size_t third = result.output.find("apcc.result v6\njob 3\n");
-  const std::size_t fourth = result.output.find("apcc.result v6\njob 4\n");
+  const std::size_t first = result.output.find("apcc.result v7\njob 1\n");
+  const std::size_t second = result.output.find("apcc.result v7\njob 2\n");
+  const std::size_t third = result.output.find("apcc.result v7\njob 3\n");
+  const std::size_t fourth = result.output.find("apcc.result v7\njob 4\n");
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   ASSERT_NE(third, std::string::npos);
@@ -333,7 +333,7 @@ TEST(CliSmoke, BatchReportsLineAndSnippetOnMalformedRecords) {
   // the file, the line, and echo the offending text -- not just exit 1.
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\n"
+    out << "apcc.job v7\n"
         << "kind sweep\n"
         << "workload " << workload_path() << "\n"
         << "task label=x strategy=warp-speed\n"
@@ -356,7 +356,7 @@ TEST(CliSmoke, BatchReportsLineAndSnippetOnMalformedRecords) {
   // is still rejected, not silently dropped.
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n";
+    out << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n";
   }
   EXPECT_EQ(run_cli("batch " + jobfile + " --codec null").exit_code, 1);
   std::remove(jobfile.c_str());
@@ -370,16 +370,16 @@ TEST(CliSmoke, ServeStreamsWireResultsInSubmissionOrder) {
       ::testing::TempDir() + "/apcc_smoke_serve.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\n"
+    out << "apcc.job v7\n"
         << "kind run\n"
         << "client smoke\n"
         << "workload " << workload_path() << "\n"
         << "end\n"
-        << "apcc.job v6\n"
+        << "apcc.job v7\n"
         << "kind run\n"
         << "workload /nonexistent/nope.s\n"
         << "end\n"
-        << "apcc.job v6\n"
+        << "apcc.job v7\n"
         << "kind sweep\n"
         << "workload " << workload_path() << "\n"
         << "task label=on-demand/k=1 strategy=on-demand kc=1 kd=1\n"
@@ -387,9 +387,9 @@ TEST(CliSmoke, ServeStreamsWireResultsInSubmissionOrder) {
   }
   const auto result = run_cli("serve < " + jobfile);
   ASSERT_EQ(result.exit_code, 0);
-  const std::size_t first = result.output.find("apcc.result v6\njob 1\n");
-  const std::size_t second = result.output.find("apcc.result v6\njob 2\n");
-  const std::size_t third = result.output.find("apcc.result v6\njob 3\n");
+  const std::size_t first = result.output.find("apcc.result v7\njob 1\n");
+  const std::size_t second = result.output.find("apcc.result v7\njob 2\n");
+  const std::size_t third = result.output.find("apcc.result v7\njob 3\n");
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   ASSERT_NE(third, std::string::npos);
@@ -417,7 +417,7 @@ TEST(CliSmoke, ServeEmitsResultsWhileStdinIsStillOpen) {
       ::testing::TempDir() + "/apcc_smoke_serve_stream.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n";
+    out << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n";
   }
   // The subshell holds stdin open for 4s after the job; the first
   // result record must complete well before that.
@@ -440,7 +440,7 @@ TEST(CliSmoke, ServeEmitsResultsWhileStdinIsStillOpen) {
     }
   }
   pclose(pipe);  // waits out the subshell's sleep
-  EXPECT_NE(output.find("apcc.result v6\njob 1\n"), std::string::npos)
+  EXPECT_NE(output.find("apcc.result v7\njob 1\n"), std::string::npos)
       << output;
   EXPECT_NE(output.find("status ok"), std::string::npos) << output;
   EXPECT_LT(first_record_seconds, 3.0)
@@ -453,7 +453,7 @@ TEST(CliSmoke, WireRoundtripIsAFixedPoint) {
       ::testing::TempDir() + "/apcc_smoke_roundtrip.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\n"
+    out << "apcc.job v7\n"
         << "kind sweep\n"
         << "workload gsm-like\n"
         << "grid strategy-k\n"
@@ -477,7 +477,7 @@ TEST(CliSmoke, VersionPrintsToolAndWireVersion) {
   const auto result = run_cli("version");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(result.output.rfind("apcc_cli ", 0), 0u) << result.output;
-  EXPECT_NE(result.output.find("(wire v6)"), std::string::npos)
+  EXPECT_NE(result.output.find("(wire v7)"), std::string::npos)
       << result.output;
   // Exactly-one-line contract, scripts parse it.
   EXPECT_EQ(lines_of(result.output).size(), 1u);
@@ -503,15 +503,15 @@ TEST(CliSmoke, ServeMaxQueuedRejectsOverloadAsRecords) {
       ::testing::TempDir() + "/apcc_smoke_overload.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\nkind sweep\nworkload " << workload_path()
+    out << "apcc.job v7\nkind sweep\nworkload " << workload_path()
         << "\ngrid strategy-k\nend\n"
-        << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n"
-        << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n";
+        << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n"
+        << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n";
   }
   const auto result =
       run_cli("serve --max-queued 1 --workers 1 < " + jobfile);
   ASSERT_EQ(result.exit_code, 0);
-  EXPECT_EQ(count_occurrences(result.output, "apcc.result v6\n"), 3u)
+  EXPECT_EQ(count_occurrences(result.output, "apcc.result v7\n"), 3u)
       << result.output;
   for (int job = 1; job <= 3; ++job) {
     EXPECT_EQ(count_occurrences(result.output,
@@ -536,8 +536,8 @@ TEST(CliSmoke, ServeDrainsGracefullyOnSigterm) {
   const std::string jobfile = dir + "/apcc_smoke_drain.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v6\nkind run\nworkload " << workload_path() << "\nend\n"
-        << "apcc.job v6\nkind sweep\nworkload " << workload_path()
+    out << "apcc.job v7\nkind run\nworkload " << workload_path() << "\nend\n"
+        << "apcc.job v7\nkind sweep\nworkload " << workload_path()
         << "\ngrid strategy-k\nend\n";
   }
   const std::string script =
@@ -557,7 +557,7 @@ TEST(CliSmoke, ServeDrainsGracefullyOnSigterm) {
       << result.output;
   // Exactly one record per accepted job, drained to completion (the
   // sweep may legitimately resolve cancelled if it had not started).
-  EXPECT_EQ(count_occurrences(result.output, "apcc.result v6\n"), 2u)
+  EXPECT_EQ(count_occurrences(result.output, "apcc.result v7\n"), 2u)
       << result.output;
   EXPECT_EQ(count_occurrences(result.output, "job 1\n"), 1u);
   EXPECT_EQ(count_occurrences(result.output, "job 2\n"), 1u);
@@ -604,10 +604,10 @@ TEST(CliSmoke, ServeListensOnTcpRejectsOverloadAndDrainsOnSigterm) {
   // still live at job 2's admission check unless the IO thread stalls
   // for the whole campaign between two adjacent submits.
   const std::string jobs =
-      "apcc.job v6\nkind campaign\nworkload gsm-like\n"
+      "apcc.job v7\nkind campaign\nworkload gsm-like\n"
       "workload crc-like\nworkload adpcm-like\n"
       "grid strategy-k\nend\n"
-      "apcc.job v6\nkind run\nworkload gsm-like\nend\n";
+      "apcc.job v7\nkind run\nworkload gsm-like\nend\n";
   std::string response;
   {
     const apcc::net::Fd client =
@@ -627,8 +627,8 @@ TEST(CliSmoke, ServeListensOnTcpRejectsOverloadAndDrainsOnSigterm) {
       response.append(chunk, static_cast<std::size_t>(n));
     }
   }
-  const std::size_t first = response.find("apcc.result v6\njob 1\n");
-  const std::size_t second = response.find("apcc.result v6\njob 2\n");
+  const std::size_t first = response.find("apcc.result v7\njob 1\n");
+  const std::size_t second = response.find("apcc.result v7\njob 2\n");
   ASSERT_NE(first, std::string::npos) << response;
   ASSERT_NE(second, std::string::npos) << response;
   EXPECT_LT(first, second);

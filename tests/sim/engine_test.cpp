@@ -283,7 +283,7 @@ TEST(Engine, RecompressForRealCostsMoreHelperTime) {
 TEST(Engine, ParanoidVerifyPasses) {
   Harness h(cfg::figure2_cfg());
   EngineConfig config;
-  config.policy.paranoid_verify = true;
+  config.paranoid_verify = true;
   EXPECT_NO_THROW((void)h.run(config, fig2_long_trace()));
 }
 

@@ -54,7 +54,7 @@
 // batch / serve job records are the versioned wire format -- see
 // docs/API.md for the full grammar. The minimal job is:
 //
-//   apcc.job v6
+//   apcc.job v7
 //   kind run
 //   workload gsm-like
 //   end
@@ -107,6 +107,7 @@
 //
 // Exit code 0 on success, 1 on usage errors (including malformed wire
 // records and contradictory grid options), 2 on input errors.
+#include <array>
 #include <condition_variable>
 #include <csignal>
 #include <deque>
@@ -173,7 +174,7 @@ constexpr const char* kToolVersion = "0.6.0";
       "\n"
       "batch files and the serve stdin stream hold wire format job\n"
       "records (docs/API.md):\n"
-      "  apcc.job v6\n"
+      "  apcc.job v7\n"
       "  kind run|sweep|campaign\n"
       "  workload <name-or-path>      (repeatable for campaign)\n"
       "  priority high|normal|batch   (optional QoS)\n"
@@ -221,25 +222,15 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-compress::CodecKind parse_codec(const std::string& name) {
-  for (const auto kind : compress::kAllCodecKinds) {
-    if (name == compress::codec_kind_name(kind)) return kind;
+/// Resolves an option value over an enum's one value list by the
+/// library's name for each value (the names the wire format uses).
+template <typename E, std::size_t N>
+E parse_name(const std::array<E, N>& values, const char* (*name_of)(E),
+             const std::string& name, const char* what) {
+  for (const E value : values) {
+    if (name == name_of(value)) return value;
   }
-  usage("unknown codec '" + name + "'");
-}
-
-runtime::DecompressionStrategy parse_strategy(const std::string& name) {
-  if (name == "on-demand") return runtime::DecompressionStrategy::kOnDemand;
-  if (name == "pre-all") return runtime::DecompressionStrategy::kPreAll;
-  if (name == "pre-single") return runtime::DecompressionStrategy::kPreSingle;
-  usage("unknown strategy '" + name + "'");
-}
-
-runtime::PredictorKind parse_predictor(const std::string& name) {
-  if (name == "profile") return runtime::PredictorKind::kProfile;
-  if (name == "static") return runtime::PredictorKind::kStatic;
-  if (name == "oracle") return runtime::PredictorKind::kOracle;
-  usage("unknown predictor '" + name + "'");
+  usage(std::string("unknown ") + what + " '" + name + "'");
 }
 
 struct CliOptions {
@@ -289,13 +280,19 @@ CliOptions parse_options(const std::vector<std::string>& args,
   for (std::size_t i = first; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--codec") {
-      opts.config.codec = parse_codec(need_value(i++));
+      opts.config.codec = parse_name(compress::kAllCodecKinds,
+                                     compress::codec_kind_name,
+                                     need_value(i++), "codec");
       opts.config_flags.push_back(a);
     } else if (a == "--strategy") {
-      opts.config.policy.strategy = parse_strategy(need_value(i++));
+      opts.config.policy.strategy =
+          parse_name(runtime::kAllStrategies, runtime::strategy_name,
+                     need_value(i++), "strategy");
       opts.grid_overrides.push_back(a);
     } else if (a == "--predictor") {
-      opts.config.policy.predictor = parse_predictor(need_value(i++));
+      opts.config.policy.predictor =
+          parse_name(runtime::kAllPredictors, runtime::predictor_name,
+                     need_value(i++), "predictor");
       opts.config_flags.push_back(a);
     } else if (a == "--kc") {
       opts.config.policy.compress_k =
