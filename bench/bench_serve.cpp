@@ -16,6 +16,11 @@
 // that none of this changes any outcome; what it changes is who waits,
 // and this series measures the waiting.
 //
+// bm_serve_rtt is the round-trip series: one connection sends a burst
+// of 1 or 2 records and waits for every result before the next burst,
+// so its p50_us/p99_us counters are send-to-result time with nothing
+// queued ahead -- what the pipelined series above cannot show.
+//
 // Caveat (docs/PERFORMANCE.md): jobs/sec here is the engine rate at the
 // pool's width plus socket + scheduling overhead, and shared CI runners
 // make it noisy. The tenant-relative latency split is the signal.
@@ -291,6 +296,56 @@ void bm_serve_mixed_qos(benchmark::State& state) {
       "3 tenants: normal/w4 + normal/w2 + batch/w1, concurrent backlogs");
 }
 BENCHMARK(bm_serve_mixed_qos)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void bm_serve_rtt(benchmark::State& state) {
+  // The round trip is client send, framing, submission, a warm engine
+  // run, and write-back. At depth 1 each result leaves with nothing
+  // unacknowledged ahead of it; at depth 2 the second result follows
+  // the first on the same socket, which is where a send-side hold
+  // (Nagle's algorithm waiting for the first result's ACK) shows.
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  serving::ServiceOptions options;
+  options.workers = 2;
+  ServeFixture fx(std::move(options));
+  prime(fx.port());
+  const net::Fd fd = net::connect_tcp("127.0.0.1", fx.port());
+  std::string burst;
+  for (std::size_t i = 0; i < depth; ++i) {
+    burst += job_record(Tenant{"", "normal", 1});
+  }
+  std::vector<double> rtt_us;
+  std::string reply;
+  char chunk[4096];
+  for (auto _ : state) {
+    const auto sent = clock_type::now();
+    send_all(fd, burst);
+    reply.clear();
+    std::size_t scan = 0;
+    for (std::size_t seen = 0; seen < depth;) {
+      const ssize_t n = ::recv(fd.get(), chunk, sizeof(chunk), 0);
+      if (n <= 0) throw std::runtime_error("bench_serve: recv failed");
+      reply.append(chunk, static_cast<std::size_t>(n));
+      const auto now = clock_type::now();
+      for (std::size_t pos = reply.find("\nend\n", scan);
+           pos != std::string::npos; pos = reply.find("\nend\n", scan)) {
+        rtt_us.push_back(
+            std::chrono::duration<double, std::micro>(now - sent).count());
+        ++seen;
+        scan = pos + 5;
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(rtt_us.size()));
+  state.counters["p50_us"] = percentile(rtt_us, 50.0);
+  state.counters["p99_us"] = percentile(rtt_us, 99.0);
+  state.SetLabel("single session, " + std::to_string(depth) +
+                 " run job(s) per burst, warm artifacts");
+}
+BENCHMARK(bm_serve_rtt)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

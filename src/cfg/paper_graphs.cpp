@@ -1,5 +1,8 @@
 #include "cfg/paper_graphs.hpp"
 
+#include <string>
+#include <utility>
+
 namespace apcc::cfg {
 
 namespace {
@@ -11,7 +14,9 @@ Cfg make_blocks(std::uint32_t count, const PaperGraphOptions& options) {
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t size =
         options.base_words_per_block + (options.vary_sizes ? i : 0);
-    cfg.add_block(word, size, "B" + std::to_string(i));
+    std::string name = "B";
+    name += std::to_string(i);
+    cfg.add_block(word, size, std::move(name));
     word += size;
   }
   cfg.set_entry(0);

@@ -1,11 +1,16 @@
 #include "isa/disasm.hpp"
 
 #include <sstream>
+#include <string>
 
 namespace apcc::isa {
 
 namespace {
-std::string reg(std::uint8_t r) { return "r" + std::to_string(r); }
+std::string reg(std::uint8_t r) {
+  std::string name = "r";
+  name += std::to_string(r);
+  return name;
+}
 }  // namespace
 
 std::string disassemble(const Instruction& inst, std::uint32_t word_index) {

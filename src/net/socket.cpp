@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,6 +27,15 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   APCC_CHECK(inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
              "not an IPv4 address: '" + host + "'");
   return addr;
+}
+
+// Send each record as soon as it is written: with Nagle's algorithm on,
+// a small result record waits for the ACK of the previous segment.
+void set_nodelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    fail_errno("setsockopt(TCP_NODELAY)");
+  }
 }
 
 }  // namespace
@@ -88,6 +98,7 @@ Fd accept_client(int listen_fd) {
   }
   Fd client(fd);
   set_nonblocking(client.get());
+  set_nodelay(client.get());
   return client;
 }
 
@@ -99,6 +110,7 @@ Fd connect_tcp(const std::string& host, std::uint16_t port) {
                 sizeof(addr)) < 0) {
     fail_errno("connect " + host + ":" + std::to_string(port));
   }
+  set_nodelay(fd.get());
   return fd;
 }
 

@@ -50,16 +50,18 @@ class Fd {
                             std::uint16_t* bound_port);
 
 /// One nonblocking accept on `listen_fd`: the connection (already
-/// nonblocking) or an empty Fd when no connection is pending
-/// (EAGAIN/EWOULDBLOCK). Throws CheckError on real accept failures.
+/// nonblocking, with TCP_NODELAY set) or an empty Fd when no
+/// connection is pending (EAGAIN/EWOULDBLOCK). Throws CheckError on
+/// real accept failures.
 [[nodiscard]] Fd accept_client(int listen_fd);
 
 /// O_NONBLOCK on an existing fd. Throws CheckError on failure.
 void set_nonblocking(int fd);
 
 /// Connect a blocking TCP client socket to `host:port` (IPv4 dotted
-/// quad). Test plumbing for loopback round-trips; the server side
-/// never calls it. Throws CheckError on failure.
+/// quad), with TCP_NODELAY set. Test plumbing for loopback
+/// round-trips; the server side never calls it. Throws CheckError on
+/// failure.
 [[nodiscard]] Fd connect_tcp(const std::string& host, std::uint16_t port);
 
 }  // namespace apcc::net

@@ -105,8 +105,8 @@ WorkloadId Service::resolve(const std::string& ref) const {
   for (std::size_t id = 0; id < registry_.size(); ++id) {
     if (registry_[id]->workload->name == ref) return id;
   }
-  APCC_CHECK(false, "unknown workload reference '" + ref +
-                        "' (register it first, or use \"@<id>\")");
+  throw CheckError("unknown workload reference '" + ref +
+                   "' (register it first, or use \"@<id>\")");
 }
 
 Service::Registered& Service::entry(WorkloadId id) {
@@ -381,13 +381,21 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
                                         ? ctx->spec.deadline_ms
                                         : limits_.default_deadline_ms;
   if (deadline_ms != 0) {
-    options.deadline =
-        (faults_ && faults_->expire_deadlines)
-            // Deterministically already-expired: the first dispatch
-            // resolves the job deadline-exceeded, no sleeping tests.
-            ? std::chrono::steady_clock::now() - std::chrono::hours(1)
-            : std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(deadline_ms);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    // A deadline past the clock's range can never lapse: it means none,
+    // rather than an overflowed time_point already in the past.
+    const std::chrono::milliseconds headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now);
+    if (faults_ && faults_->expire_deadlines) {
+      // Deterministically already-expired: the first dispatch resolves
+      // the job deadline-exceeded, no sleeping tests.
+      options.deadline = now - std::chrono::hours(1);
+    } else if (deadline_ms < static_cast<std::uint64_t>(headroom.count())) {
+      options.deadline = now + std::chrono::milliseconds(
+                                   static_cast<std::int64_t>(deadline_ms));
+    }
   }
 
   std::size_t total = 0;
@@ -537,7 +545,9 @@ JobHandle<std::vector<sweep::CampaignResult>> Service::submit(
   spec.kind = JobKind::kCampaign;
   spec.workloads.reserve(job.workloads.size());
   for (const WorkloadId id : job.workloads) {
-    spec.workloads.push_back("@" + std::to_string(id));
+    std::string ref = "@";
+    ref += std::to_string(id);
+    spec.workloads.push_back(std::move(ref));
   }
   spec.config = job.config;
   spec.tasks = std::move(job.grid);

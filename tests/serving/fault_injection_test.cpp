@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -229,6 +230,34 @@ TEST(FaultInjection, DefaultDeadlineAppliesWhenTheSpecCarriesNone) {
   const JobResult& expired = handle.wait();
   EXPECT_EQ(expired.status, JobStatus::kDeadlineExceeded);
   EXPECT_EQ(expired.error, "job deadline exceeded");
+}
+
+TEST(FaultInjection, DeadlinePastTheClockRangeMeansNoDeadline) {
+  // deadline-ms is a u64 on the wire; a value whose nanoseconds do not
+  // fit the steady clock (the largest u64, or 9.3e12 ms, past INT64_MAX ns)
+  // can never lapse, so the job runs instead of expiring at once.
+  ServiceOptions options;
+  options.workers = 1;
+  FaultFixture fx(options);
+  for (const char* deadline : {"18446744073709551615", "9300000000000"}) {
+    SCOPED_TRACE(deadline);
+    const JobSpec spec = wire::parse_job(wire::kJobHeader + "\nkind run\n" +
+                                         "deadline-ms " + deadline +
+                                         "\nworkload crc-like\nend\n");
+    const auto handle = fx.service.submit(spec);
+    const JobResult& result = handle.wait();
+    EXPECT_EQ(result.status, JobStatus::kOk) << result.error;
+  }
+}
+
+TEST(FaultInjection, DefaultDeadlinePastTheClockRangeMeansNoDeadline) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.limits.default_deadline_ms = UINT64_MAX;
+  FaultFixture fx(options);
+  const auto handle = fx.service.submit(run_spec(fx.id));
+  const JobResult& result = handle.wait();
+  EXPECT_EQ(result.status, JobStatus::kOk) << result.error;
 }
 
 TEST(FaultInjection, NonOkRecordsAreByteIdenticalAcrossWorkerCounts) {

@@ -21,7 +21,9 @@
 #   BENCH_serve.json    -- TCP front-door sustained jobs/sec plus
 #                          p50/p99 latency counters under mixed-tenant
 #                          QoS (weighted fair share within the normal
-#                          class, strict classes across)
+#                          class, strict classes across), and the
+#                          round-trip series (p50_us/p99_us send-to-result
+#                          time for bursts of 1 and 2 run jobs)
 #
 # --quick is the CI smoke mode: benches shrink their scales (via
 # APCC_BENCH_QUICK) and google-benchmark runs minimal repetitions, so the
@@ -152,6 +154,17 @@ for counter in '"jobs_per_sec"' '"p50_ms"' '"p99_ms"'; do
   if ! grep -q "${counter}" "${OUT_DIR}/BENCH_serve.json"; then
     echo "error: BENCH_serve.json has no ${counter} counter" >&2
     echo "       (bm_serve_mixed_qos should emit it per run)" >&2
+    exit 1
+  fi
+done
+
+# The round-trip series must carry its send-to-result counters: it is
+# the only serve series with nothing queued ahead of a job, so it is the
+# one that shows a send-side hold on the result records.
+for counter in '"p50_us"' '"p99_us"'; do
+  if ! grep -q "${counter}" "${OUT_DIR}/BENCH_serve.json"; then
+    echo "error: BENCH_serve.json has no ${counter} counter" >&2
+    echo "       (bm_serve_rtt should emit it per run)" >&2
     exit 1
   fi
 done
